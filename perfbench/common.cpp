@@ -54,6 +54,13 @@ const std::string& Report::unit(const std::string& name) const {
   return metrics_.at(name).second;
 }
 
+bool Report::not_applicable(const std::string& name) const {
+  return std::any_of(not_applicable_.begin(), not_applicable_.end(),
+                     [&](const std::string& prefix) {
+                       return name.rfind(prefix, 0) == 0;
+                     });
+}
+
 void Gate::fail(const std::string& why) {
   ++failed_;
   if (printed_ < 10) {

@@ -33,12 +33,6 @@ struct Options {
   std::uint64_t seed = 1;
   double seconds = 10.0;
   bool trace = false;
-  /// Open-loop arrival rate of the serve workloads [requests/s], read from
-  /// the workload's `why` line in BENCHMARK.json.
-  double rate = 0.0;
-  /// Distinct specs of serve-hot: 4, half of EnginePool's default
-  /// capacity of 8 (`--hot-specs` exists to probe the LRU cliff).
-  std::size_t hot_specs = 4;
 };
 
 /// Order statistics over a sample (copies; samples are small).
@@ -47,7 +41,8 @@ double median(std::vector<double> xs);
 double mean(const std::vector<double>& xs);
 
 /// Named metrics with units. `set` overwrites; main.cpp prints the subset
-/// BENCHMARK.json names for the run's mode and refuses a missing one.
+/// BENCHMARK.json names for the run's mode and refuses a missing one,
+/// unless the workload declared its prefix not applicable (printed as 0).
 class Report {
  public:
   void set(const std::string& name, double value, const std::string& unit);
@@ -55,8 +50,15 @@ class Report {
   [[nodiscard]] double value(const std::string& name) const;
   [[nodiscard]] const std::string& unit(const std::string& name) const;
 
+  /// Metrics named `prefix...` measure a layer this workload does not have.
+  void mark_not_applicable(const std::string& prefix) {
+    not_applicable_.push_back(prefix);
+  }
+  [[nodiscard]] bool not_applicable(const std::string& name) const;
+
  private:
   std::map<std::string, std::pair<double, std::string>> metrics_;
+  std::vector<std::string> not_applicable_;
 };
 
 /// Correctness gate: counts operations attempted and failed, and keeps

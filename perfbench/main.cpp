@@ -1,21 +1,16 @@
 // perfbench: the repository's end-to-end benchmark.
 //
 //   perfbench --workload NAME --seed N --seconds S --trace 0|1
-//             [--rate R] [--hot-specs K]
 //
 // Runs one workload of BENCHMARK.json (read from the working directory,
 // the checkout root) and prints, as the last line of standard output, one
 // JSON object {"correct", "attempted", "failed", "metrics"}: every
 // end_to_end metric with --trace 0, every per_layer metric with --trace 1.
-// `--rate` overrides a serve workload's arrival rate and `--hot-specs`
-// serve-hot's number of distinct specs; both exist for calibration and
-// probes only (the benchmark reads the rate from the workload's `why`).
 // perfbench/run.py builds this binary and forwards its arguments.
 
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
-#include <regex>
 #include <string>
 
 #include "daggen/corpus.hpp"
@@ -31,7 +26,7 @@ namespace {
 [[noreturn]] void usage(const std::string& why) {
   std::fprintf(stderr,
                "perfbench: %s\nusage: perfbench --workload NAME --seed N "
-               "--seconds S --trace 0|1 [--rate R] [--hot-specs K]\n",
+               "--seconds S --trace 0|1\n",
                why.c_str());
   std::exit(2);
 }
@@ -52,21 +47,11 @@ KernelMode default_kernel() {
   return EvaluationEngine(instance).kernel_mode();
 }
 
-/// "... at 300 req/s ..." in a serve workload's why line.
-double rate_in(const std::string& why) {
-  std::smatch m;
-  if (!std::regex_search(why, m, std::regex(R"(([0-9]+(\.[0-9]+)?) req/s)"))) {
-    return 0.0;
-  }
-  return std::stod(m[1].str());
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   Options opts;
   bool trace_given = false;
-  double rate_override = 0.0;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (i + 1 >= argc) usage("missing value for " + arg);
@@ -82,10 +67,6 @@ int main(int argc, char** argv) {
         if (val != "0" && val != "1") usage("--trace takes 0 or 1");
         opts.trace = val == "1";
         trace_given = true;
-      } else if (arg == "--rate") {
-        rate_override = std::stod(val);
-      } else if (arg == "--hot-specs") {
-        opts.hot_specs = std::stoul(val);
       } else {
         usage("unknown option " + arg);
       }
@@ -106,22 +87,18 @@ int main(int argc, char** argv) {
     const Json spec = Json::parse_file("BENCHMARK.json");
     bool known = false;
     for (const Json& w : spec.at("workloads").as_array()) {
-      if (w.at("name").as_string() != opts.workload) continue;
-      known = true;
-      opts.rate = rate_in(w.at("why").as_string());
+      known = known || w.at("name").as_string() == opts.workload;
     }
     if (!known) usage("unknown workload " + opts.workload);
-    if (rate_override > 0.0) opts.rate = rate_override;
 
     Report report;
     Gate gate;
     const bool serve = opts.workload.rfind("serve-", 0) == 0;
-    if (serve && !(opts.rate > 0.0)) usage("no rate for " + opts.workload);
     std::printf(
         "{\"perfbench\": {\"workload\": \"%s\", \"seed\": %llu, \"trace\": %d, "
-        "\"kernel\": \"%s\", \"rate\": %g}}\n",
+        "\"kernel\": \"%s\"}}\n",
         opts.workload.c_str(), static_cast<unsigned long long>(opts.seed),
-        opts.trace ? 1 : 0, kernel_name(default_kernel()), opts.rate);
+        opts.trace ? 1 : 0, kernel_name(default_kernel()));
     std::fflush(stdout);
 
     if (serve) {
@@ -142,6 +119,11 @@ int main(int argc, char** argv) {
     for (const Json& m : spec.at(section).as_array()) {
       const std::string& name = m.at("name").as_string();
       const std::string& unit = m.at("unit").as_string();
+      // A layer the workload does not have (a daemon's, on an EMTS
+      // workload) reads 0.
+      if (!report.has(name) && report.not_applicable(name)) {
+        report.set(name, 0.0, unit);
+      }
       if (!report.has(name) || report.unit(name) != unit) {
         std::fprintf(stderr, "perfbench: metric %s [%s] not measured\n",
                      name.c_str(), unit.c_str());

@@ -41,30 +41,47 @@ constexpr int kServeTasks = 50;
 /// Distinct irregular-corpus shapes (12 DAGGEN configurations x 3 jumps).
 constexpr std::size_t kShapes = 36;
 constexpr std::size_t kWorkers = 2;
-/// A request counts toward goodput only if it finished within this.
-constexpr double kLatencyLimitMs = 100.0;
+/// serve-hot's distinct specs: half of EnginePool's default capacity of 8,
+/// below the LRU cliff on purpose (NOTES.md, "The engine-pool LRU cliff").
+constexpr std::size_t kHotSpecs = 4;
 constexpr double kDrainTimeoutS = 30.0;
-constexpr std::size_t kSetupReps = 5;
+constexpr std::size_t kSetupReps = 31;
+/// Requests in the journal every timed daemon start recovers.
+constexpr std::size_t kJournalHistory = 256;
 /// The poller's sleep when nothing is outstanding. While requests are
 /// outstanding it polls back to back, so a request's terminal state is
 /// seen one status round trip after it happens, however the host's timers
 /// behave (NOTES.md, "The poll floor").
 constexpr double kIdlePollMs = 0.2;
-/// In-process timing of the served computations: at most this many keys.
+/// Traced runs time the served computations in-process: at most this
+/// many keys.
 constexpr std::size_t kTimedKeys = 100;
-/// The serve probe of the EMTS workload's traced runs.
-constexpr double kProbeRate = 100.0;
-constexpr double kProbeSeconds = 2.0;
+
+/// The load of each serve workload: the open-loop arrival rate (about a
+/// quarter of the quiet saturating throughput, NOTES.md "Workloads") and
+/// the latency within which a request counts toward goodput_rps (about
+/// three times the quiet median request latency).
+struct Load {
+  double rate;
+  double latency_limit_ms;
+};
+Load workload_load(bool cold) {
+  return cold ? Load{100.0, 15.0} : Load{200.0, 10.0};
+}
 
 /// The wire carries numbers as doubles: keep corpus seeds exact.
 std::uint64_t corpus_seed(std::uint64_t h) { return h & 0x7fffffffULL; }
 
-JobSpec shaped_spec(std::size_t k) {
+/// Every serve spec runs the paper's Section V-B platform and model, as
+/// emts10-n100 does. With half of them on Chti/Model 1 (about 40% faster
+/// calls), the per-class times split into two clusters and their median
+/// fell on the gap between them (NOTES.md, "Seeds").
+JobSpec shaped_spec() {
   JobSpec s;
   s.cls = "irregular";
   s.tasks = kServeTasks;
-  s.platform = k % 2 == 0 ? "grelon" : "chti";
-  s.model = k % 2 == 0 ? "model2" : "model1";
+  s.platform = "grelon";
+  s.model = "model2";
   return s;
 }
 
@@ -72,10 +89,10 @@ JobSpec shaped_spec(std::size_t k) {
 /// instances (the run's seed picks the mix and, through the daemon's base
 /// seed, every EMTS trajectory), so the hot set's cost does not swing
 /// with the seed.
-std::vector<JobSpec> hot_specs(std::size_t count) {
+std::vector<JobSpec> hot_specs() {
   std::vector<JobSpec> out;
-  for (std::size_t k = 0; k < count; ++k) {
-    JobSpec s = shaped_spec(k);
+  for (std::size_t k = 0; k < kHotSpecs; ++k) {
+    JobSpec s = shaped_spec();
     s.seed = corpus_seed(derive_seed(kReferenceSeed, 0x407, k));
     s.corpus_index = 4 + 9 * k;
     out.push_back(s);
@@ -85,7 +102,7 @@ std::vector<JobSpec> hot_specs(std::size_t count) {
 
 /// A cold spec: a fresh corpus seed, so its fingerprint was never seen.
 JobSpec cold_spec(std::uint64_t seed, std::uint64_t salt, std::size_t k) {
-  JobSpec s = shaped_spec(k);
+  JobSpec s = shaped_spec();
   s.seed = corpus_seed(derive_seed(seed, salt, k));
   s.corpus_index = k % kShapes;
   return s;
@@ -103,7 +120,7 @@ struct Job {
 std::vector<Job> request_jobs(const Options& opts, bool cold, std::size_t n) {
   std::vector<Job> out;
   out.reserve(n);
-  const std::vector<JobSpec> hot = hot_specs(opts.hot_specs);
+  const std::vector<JobSpec> hot = hot_specs();
   Rng rng(derive_seed(opts.seed, 0x3a7));
   for (std::size_t k = 0; k < n; ++k) {
     const std::string tenant = tenant_name(rng.index(kTenants));
@@ -122,7 +139,7 @@ std::vector<Job> warmup_jobs(const Options& opts, bool cold) {
       out.push_back({cold_spec(opts.seed, 0x3a3f, k), tenant_name(k)});
     }
   } else {
-    for (const JobSpec& s : hot_specs(opts.hot_specs)) {
+    for (const JobSpec& s : hot_specs()) {
       out.push_back({s, tenant_name(0)});
       out.push_back({s, tenant_name(1)});
     }
@@ -281,10 +298,12 @@ std::uintmax_t journal_bytes(const std::string& dir) {
   return total;
 }
 
-ServeConfig daemon_config(const ScratchDir& dir, std::uint64_t seed) {
+/// A daemon whose socket and journal files are named `name` in `dir`.
+ServeConfig daemon_config(const ScratchDir& dir, const std::string& name,
+                          std::uint64_t seed) {
   ServeConfig cfg;
-  cfg.socket_path = dir.path() + "/serve.sock";
-  cfg.journal_path = dir.path() + "/journal";
+  cfg.socket_path = dir.path() + "/" + name + ".sock";
+  cfg.journal_path = dir.path() + "/" + name;
   cfg.workers = kWorkers;
   cfg.base_seed = seed;
   cfg.emts_budget_seconds = 0.0;  // results independent of wall-clock
@@ -389,51 +408,69 @@ void check_key(const Key& key, const Session& s, const Recomputed& rc,
   }
 }
 
-/// What one serve session accumulates for its end-to-end metrics.
-struct SessionOutcome {
-  double setup_s = 0.0;
-  std::size_t done = 0;
-  std::size_t good = 0;
-  std::vector<double> latency_ms;  ///< Done requests, from due time.
-  std::vector<double> schedule_ms;  ///< Best-of call time per timed key.
-  double makespan_over_lb = 0.0;
-};
-
-/// One daemon session: set-up, `seconds` of open-loop load at `rate`,
-/// the gate, then `timing_seconds` of in-process timing. A probe reports
-/// only the serve layers.
-void serve_session(const Options& opts, bool cold, double rate,
-                   double seconds, double timing_seconds, bool probe,
-                   Report& report, Gate& gate) {
-  SessionOutcome out;
+/// One daemon session: set-up, open-loop load, the gate; traced runs then
+/// time the served computations in-process for the layer breakdown.
+void serve_session(const Options& opts, bool cold, Report& report,
+                   Gate& gate) {
+  const Load load = workload_load(cold);
+  // Traced runs give 40% of their seconds to the in-process layer timing.
+  const double seconds = opts.trace ? 0.6 * opts.seconds : opts.seconds;
   const ScratchDir dir;
-  const ServeConfig cfg = daemon_config(dir, opts.seed);
-  const auto n = static_cast<std::size_t>(std::llround(rate * seconds));
-  std::vector<Job> jobs;
-  std::unique_ptr<ServeServer> server;
+  const ServeConfig cfg = daemon_config(dir, "journal", opts.seed);
+  const ServeConfig history_cfg = daemon_config(dir, "history", opts.seed);
+  const auto n = static_cast<std::size_t>(std::llround(load.rate * seconds));
+  const std::vector<Job> jobs = request_jobs(opts, cold, n);
 
-  // --- Set-up, repeated: specs, daemon start with journal recovery (the
-  // earlier repetitions' records), warm-up. The last daemon stays up.
-  std::vector<double> setups;
-  for (std::size_t rep = 0; rep < kSetupReps; ++rep) {
-    if (server) {
-      server->stop();
-      server.reset();
-    }
-    const auto t0 = Clock::now();
-    jobs = request_jobs(opts, cold, n);
-    server = std::make_unique<ServeServer>(cfg);
-    server->start();
-    warm_up(cfg.socket_path, warmup_jobs(opts, cold), gate);
-    setups.push_back(seconds_between(t0, Clock::now()));
+  // --- Set-up: daemon start with journal recovery. Every timed start
+  // recovers the same journal, the records of kJournalHistory requests an
+  // untimed daemon served first, and stops untimed. The starts are spread
+  // over the session (a sampler thread, one start per slot), because the
+  // host's speed changes over tens of seconds (NOTES.md, "End-to-end
+  // metrics"). The request stream is the benchmark's own input, made
+  // untimed.
+  {
+    ServeServer history(history_cfg);
+    history.start();
+    Options past = opts;
+    past.seed = derive_seed(opts.seed, 0x415);
+    warm_up(history_cfg.socket_path,
+            request_jobs(past, cold, kJournalHistory), gate);
+    history.stop();
   }
-  out.setup_s = median(setups);
+  std::vector<double> setups;
+  std::string sampler_error;
+  std::atomic<bool> sampling{true};
+  std::thread sampler([&] {
+    const auto start = Clock::now();
+    try {
+      for (std::size_t rep = 0; rep < kSetupReps && sampling.load(); ++rep) {
+        std::this_thread::sleep_until(
+            start + std::chrono::duration_cast<Clock::duration>(
+                        std::chrono::duration<double>(
+                            seconds * static_cast<double>(rep) /
+                            static_cast<double>(kSetupReps))));
+        const auto t0 = Clock::now();
+        ServeServer daemon(history_cfg);
+        daemon.start();
+        setups.push_back(seconds_between(t0, Clock::now()));
+      }
+    } catch (const std::exception& e) {
+      sampler_error = std::string("set-up daemon: ") + e.what();
+    }
+  });
+
+  // The session's daemon: started and warmed untimed.
+  auto server = std::make_unique<ServeServer>(cfg);
+  server->start();
+  warm_up(cfg.socket_path, warmup_jobs(opts, cold), gate);
 
   // --- Timed: the open-loop session. -----------------------------------
   const std::uintmax_t journal_before = journal_bytes(dir.path());
   Session s = drive(cfg.socket_path, jobs, seconds, opts.seed);
+  sampling.store(false);
+  sampler.join();
   if (!s.error.empty()) gate.check(false, s.error);
-  const double elapsed = seconds_between(s.start, s.end);
+  if (!sampler_error.empty()) gate.check(false, sampler_error);
 
   // --- Untimed: results, daemon stats. ----------------------------------
   ServeClient client(cfg.socket_path);
@@ -448,11 +485,17 @@ void serve_session(const Options& opts, bool cold, double rate,
   const std::uintmax_t journal_after = journal_bytes(dir.path());
   server->stop();
 
-  // Outcomes and the request-level gate.
+  // Outcomes and the request-level gate. A served call's class is its
+  // computation on serve-hot, its corpus shape on serve-cold (where every
+  // request is a new computation).
   std::vector<double> submit_ms, late_ms, queue_ms, exec_ms, poll_gap_ms;
+  std::vector<double> latency_ms;
+  std::map<std::string, double> best_ms;  ///< Per class, emts tier only.
   double polls = 0.0;
   std::size_t accepted = 0;
+  std::size_t done_count = 0;
   std::size_t emts_tier = 0;
+  std::size_t good = 0;
   for (const Req& r : s.reqs) {
     gate.attempt();
     submit_ms.push_back(ms_between(r.sent, r.acked));
@@ -471,20 +514,26 @@ void serve_session(const Options& opts, bool cold, double rate,
       gate.fail("request " + std::to_string(r.id) + " ended " + r.status);
       continue;
     }
-    ++out.done;
+    ++done_count;
     poll_gap_ms.push_back(ms_between(r.acked, r.terminal) / r.polls);
     const double latency = ms_between(r.due, r.terminal);
-    out.latency_ms.push_back(latency);
+    latency_ms.push_back(latency);
     if (r.tier == "emts") {
       ++emts_tier;
-      if (latency <= kLatencyLimitMs) ++out.good;
+      if (latency <= load.latency_limit_ms) ++good;
+      const std::string cls =
+          cold ? std::to_string(r.job.spec.corpus_index)
+               : std::to_string(r.job.spec.fingerprint()) + "/" +
+                     r.job.tenant + "/" + std::to_string(r.attempt);
+      const auto [it, fresh] = best_ms.emplace(cls, latency);
+      if (!fresh) it->second = std::min(it->second, latency);
     }
     if (r.saw_running) {
       queue_ms.push_back(ms_between(r.acked, r.running));
       exec_ms.push_back(ms_between(r.running, r.terminal));
     }
   }
-  const double done = std::max<double>(1.0, static_cast<double>(out.done));
+  const double done = std::max<double>(1.0, static_cast<double>(done_count));
   const Json& pool = stats.at("engine_pool");
   const double pool_hits = pool.at("hits").as_double();
   const double pool_lookups = pool_hits + pool.at("misses").as_double();
@@ -512,6 +561,8 @@ void serve_session(const Options& opts, bool cold, double rate,
   report.set("eval.pool_evictions", pool.at("evictions").as_double(),
              "count");
   report.set("serve.requests", static_cast<double>(s.reqs.size()), "count");
+  // From the first due time to the last terminal status seen.
+  const double elapsed = seconds_between(s.start, s.end);
   report.set("serve.elapsed_s", elapsed, "s");
   if (!exec_ms.empty() &&
       percentile(exec_ms, 50) < 5.0 * percentile(poll_gap_ms, 50)) {
@@ -542,8 +593,8 @@ void serve_session(const Options& opts, bool cold, double rate,
   }
   std::vector<Key> keys;
   for (auto& [id, key] : by_key) keys.push_back(std::move(key));
-  if (keys.empty()) {
-    gate.check(false, "no request finished done");
+  if (keys.empty() || best_ms.empty()) {
+    gate.check(false, "no request finished done at the emts tier");
     return;
   }
 
@@ -567,13 +618,15 @@ void serve_session(const Options& opts, bool cold, double rate,
     });
   }
   for (auto& t : pool_threads) t.join();
+  double ratio_sum = 0.0;
+  for (const Key& key : keys) {
+    ratio_sum += key.lb_ratio * static_cast<double>(key.reqs.size());
+  }
 
-  // The schedule call of the served computations, timed in-process one
-  // at a time for `timing_seconds`: round robin over the first keys, each
-  // key's best time being its per-call time (as in the EMTS workload).
-  // Traced runs time each call next to its traced twin, alternating which
-  // goes first.
-  if (!probe) {
+  // Traced runs: the served computations' schedule call, in-process, one
+  // at a time for the rest of the run, each next to its traced twin
+  // (alternating which goes first), for the layer breakdown.
+  if (opts.trace) {
     std::vector<std::size_t> timed;
     for (std::size_t ki = 0; ki < keys.size() && timed.size() < kTimedKeys;
          ++ki) {
@@ -581,12 +634,11 @@ void serve_session(const Options& opts, bool cold, double rate,
     }
     LayerAccumulator layers;
     std::vector<std::shared_ptr<const ProblemInstance>> instances(timed.size());
-    std::vector<double> best_ms(timed.size(),
-                                std::numeric_limits<double>::infinity());
     const auto start = Clock::now();
     for (std::size_t i = 0;
-         !timed.empty() && (i < timed.size() ||
-                            seconds_between(start, Clock::now()) < timing_seconds);
+         !timed.empty() &&
+         (i < timed.size() ||
+          seconds_between(start, Clock::now()) < opts.seconds - seconds);
          ++i) {
       const std::size_t t = i % timed.size();
       const Key& key = keys[timed[t]];
@@ -602,45 +654,44 @@ void serve_session(const Options& opts, bool cold, double rate,
         traced = traced_schedule(instances[t], key_emts_config(key, opts.seed),
                                  times);
       };
-      if (opts.trace && traced_first) run_traced();
+      if (traced_first) run_traced();
       const Recomputed rc = recompute(key, opts.seed, gate, instances[t]);
-      if (opts.trace && !traced_first) run_traced();
-      if (opts.trace) layers.add_pair(rc.result, rc.call_ms, traced, times, gate);
-      best_ms[t] = std::min(best_ms[t], rc.call_ms);
+      if (!traced_first) run_traced();
+      layers.add_pair(rc.result, rc.call_ms, traced, times, gate);
     }
-    out.schedule_ms = best_ms;
-    if (opts.trace) layers.report(report, gate);
+    layers.report(report, gate);
   }
 
-  double ratio_sum = 0.0;
-  for (const Key& key : keys) {
-    ratio_sum += key.lb_ratio * static_cast<double>(key.reqs.size());
+  // End-to-end. The served call time is each class's fastest request,
+  // from its due time to the terminal status seen by the client: the
+  // daemon's whole path (protocol, admission, journal appends, queue,
+  // engine pool, EMTS, polling) undisturbed by slow periods of the host.
+  std::vector<double> class_ms;
+  double class_sum_ms = 0.0;
+  for (const auto& [cls, ms] : best_ms) {
+    class_ms.push_back(ms);
+    class_sum_ms += ms;
   }
-  out.makespan_over_lb = ratio_sum / done;
-
-  // End-to-end view of the session.
-  if (!probe) {
-    report.set("request_ms_p50", percentile(out.latency_ms, 50), "ms");
-    report.set("request_ms_p99", percentile(out.latency_ms, 99), "ms");
-    report.set("goodput_rps", static_cast<double>(out.good) / elapsed, "1/s");
-    report.set("schedules_per_s", static_cast<double>(out.done) / elapsed,
-               "1/s");
-    report.set("schedule_ms_p50", percentile(out.schedule_ms, 50), "ms");
-    report.set("schedule_ms_p90", percentile(out.schedule_ms, 90), "ms");
-    report.set("makespan_over_lb", out.makespan_over_lb, "ratio");
-    report.set("setup_s", out.setup_s, "s");
-  }
+  report.set("schedule_ms_p50", percentile(class_ms, 50), "ms");
+  report.set("schedule_ms_p90", percentile(class_ms, 90), "ms");
+  report.set("schedules_per_s",
+             1000.0 * static_cast<double>(class_ms.size()) / class_sum_ms,
+             "1/s");
+  report.set("goodput_rps", static_cast<double>(good) / elapsed, "1/s");
+  report.set("makespan_over_lb", ratio_sum / done, "ratio");
+  report.set("setup_s", median(setups), "s");
+  report.set("request_ms_p50", percentile(latency_ms, 50), "ms");
+  report.set("request_ms_p99", percentile(latency_ms, 99), "ms");
 }
 
 }  // namespace
 
 void run_serve_workload(const Options& opts, Report& report, Gate& gate) {
   const bool cold = opts.workload == "serve-cold";
-  // The run's seconds: 60% open-loop session, 40% in-process timing.
-  serve_session(opts, cold, opts.rate, 0.6 * opts.seconds,
-                0.4 * opts.seconds, /*probe=*/false, report, gate);
+  serve_session(opts, cold, report, gate);
   // Same seed, same request stream: the workload digest self-test.
-  const auto n = static_cast<std::size_t>(std::llround(opts.rate * opts.seconds));
+  const auto n = static_cast<std::size_t>(
+      std::llround(workload_load(cold).rate * opts.seconds));
   Digest a, b;
   for (const Job& j : request_jobs(opts, cold, n)) {
     a.add(j.spec.fingerprint());
@@ -653,7 +704,7 @@ void run_serve_workload(const Options& opts, Report& report, Gate& gate) {
   gate.check(a.hex() == b.hex(), "same seed generated different requests");
   // The committed reference: the hot specs at a fixed seed, recomputed.
   Digest ref;
-  for (const JobSpec& spec : hot_specs(Options().hot_specs)) {
+  for (const JobSpec& spec : hot_specs()) {
     Key key;
     key.job = {spec, tenant_name(0)};
     key.tier = "emts";
@@ -667,11 +718,6 @@ void run_serve_workload(const Options& opts, Report& report, Gate& gate) {
                ref.hex().c_str());
   gate.check(ref.hex() == want, "serve reference digest " + ref.hex() +
                                     " != committed " + want);
-}
-
-void run_serve_probe(const Options& opts, Report& report, Gate& gate) {
-  serve_session(opts, /*cold=*/false, kProbeRate, kProbeSeconds, 0.0,
-                /*probe=*/true, report, gate);
 }
 
 }  // namespace perfbench

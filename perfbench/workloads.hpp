@@ -13,9 +13,4 @@ void run_emts_workload(const Options& opts, Report& report, Gate& gate);
 /// serve-hot / serve-cold: open-loop load on an in-process daemon.
 void run_serve_workload(const Options& opts, Report& report, Gate& gate);
 
-/// The traced serve probe the EMTS workload runs so that its traced
-/// report carries every serve.* / loadgen.* layer metric: a short
-/// serve-hot session at a low rate.
-void run_serve_probe(const Options& opts, Report& report, Gate& gate);
-
 }  // namespace perfbench
