@@ -84,6 +84,15 @@ class BatchEvaluator {
   /// order and concurrently. Must be deterministic in the genes: the value
   /// assigned to an individual may not depend on evaluation order or
   /// thread count.
+  ///
+  /// Selection contract: pool[0 .. begin) are the already-evaluated
+  /// survivors of the last selection, and the caller keeps the best
+  /// `begin` entries of the whole pool (plus selection; the ES passes
+  /// begin = 0 for its initial batch and under comma selection). An
+  /// evaluator may therefore return +infinity for an individual whose
+  /// exact fitness is provably worse than that of `begin` other pool
+  /// entries: it can never be kept, so the survivors do not change
+  /// (EMTS's rejection strategy, see eval/evaluation_engine.hpp).
   virtual void evaluate_batch(std::vector<Individual>& pool,
                               std::size_t begin) = 0;
 
@@ -91,9 +100,9 @@ class BatchEvaluator {
   /// every generation's selection with the best and worst surviving
   /// fitness. No evaluations are in flight during the call, so an
   /// implementation may safely publish an incumbent bound for the next
-  /// batch (EMTS's rejection strategy uses the worst survivor: under plus
-  /// selection an offspring worse than every current parent can never be
-  /// selected, so rejecting it does not alter the evolution trajectory).
+  /// batch (under plus selection an offspring worse than every current
+  /// parent can never be selected, so rejecting it does not alter the
+  /// evolution trajectory).
   virtual void on_selection(std::size_t generation, double best,
                             double worst) {
     (void)generation;
@@ -138,10 +147,9 @@ struct EsConfig {
   /// Called after the initial selection and after every generation with
   /// (generation index, best fitness, worst surviving fitness). No
   /// evaluations are in flight during the call, so it may safely publish
-  /// an incumbent to the fitness function. EMTS's rejection strategy uses
-  /// the worst survivor: under plus selection an offspring worse than
-  /// every current parent can never be selected, so rejecting it does not
-  /// alter the evolution trajectory.
+  /// an incumbent to the fitness function: under plus selection an
+  /// offspring worse than every current parent can never be selected, so
+  /// rejecting it does not alter the evolution trajectory.
   std::function<void(std::size_t, double, double)> on_generation;
   /// Cooperative cancellation (not owned; must outlive run()). Observed at
   /// generation boundaries and again right after each batch evaluation: a

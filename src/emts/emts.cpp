@@ -1,6 +1,7 @@
 #include "emts/emts.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "heuristics/delta_critical.hpp"
@@ -34,12 +35,6 @@ Emts::Emts(EmtsConfig config) : config_(std::move(config)) {
   if (config_.seed_heuristics.empty() && !config_.use_delta_seed &&
       !config_.use_random_seed) {
     throw std::invalid_argument("Emts: no seed source configured");
-  }
-  if (config_.use_rejection && !config_.plus_selection) {
-    // With comma selection the whole population is rebuilt from offspring,
-    // so rejecting "worse than the current worst parent" would starve it.
-    throw std::invalid_argument(
-        "Emts: the rejection strategy requires plus selection");
   }
 }
 
@@ -78,10 +73,9 @@ EmtsResult Emts::schedule(
   }
   // The engine owns the whole evaluation hot path for this run: per-slot
   // list schedulers, the persistent worker pool, the memo cache, and the
-  // rejection incumbent (published by the ES between selections).
+  // running rejection bound (applied per run by schedule(engine)).
   EvalEngineConfig engine_cfg;
   engine_cfg.threads = config_.threads;
-  engine_cfg.use_rejection = config_.use_rejection;
   engine_cfg.memoize = config_.memoize;
   engine_cfg.kernel = config_.kernel;
   engine_cfg.cancel = config_.cancel;
@@ -116,9 +110,14 @@ EmtsResult Emts::schedule(EvaluationEngine& engine) const {
   if (instance == nullptr) {
     throw std::invalid_argument("Emts: engine has no problem instance");
   }
-  // This run's cancellation policy wins over whatever the engine was
-  // constructed (or last used) with.
+  // This run's cancellation and rejection policies win over whatever the
+  // engine was constructed (or last used) with. With comma selection the
+  // whole population is rebuilt from offspring, so no offspring can be
+  // ruled out before the batch is complete. A bound left by an earlier run
+  // must not reach this run's initial batch.
   engine.set_cancel(config_.cancel);
+  engine.set_rejection(config_.use_rejection && config_.plus_selection);
+  engine.set_incumbent(std::numeric_limits<double>::infinity());
   const EvalStats stats_before = engine.stats();
   const Ptg& g = instance->graph();
   const int num_processors = instance->num_processors();

@@ -47,17 +47,22 @@ struct EmtsConfig {
   std::uint64_t seed = 1;        ///< RNG seed for the whole optimization.
   std::size_t threads = 0;       ///< Fitness-evaluation threads; 0 = inline.
   ListSchedulerOptions mapping;  ///< Mapping policy (fitness function).
-  /// Rejection strategy (the paper's Section VI future work): abort
-  /// fitness evaluations as soon as the partially built schedule provably
-  /// exceeds the worst fitness surviving the previous selection. Such an
-  /// offspring could never enter the plus-selected population, so the
-  /// evolution trajectory (and the final schedule) is bit-identical to a
-  /// run without rejection — only cheaper. Requires plus selection.
-  bool use_rejection = false;
+  /// Rejection strategy (the paper's Section VI future work): abort an
+  /// offspring's fitness evaluation as soon as its partially built
+  /// schedule provably exceeds the mu-th best exact fitness among the
+  /// parents and the offspring already evaluated in this generation (the
+  /// engine's running bound, see eval/evaluation_engine.hpp). Such an
+  /// offspring has at least mu pool entries strictly better than it and
+  /// could never enter the plus-selected population, so the evolution
+  /// trajectory (and the final schedule) is bit-identical to a run without
+  /// rejection — only cheaper. On by default; ignored under comma
+  /// selection, where every survivor is an offspring.
+  bool use_rejection = true;
   /// Which mapping kernel the evaluation engine runs offspring through
   /// (full passes, incremental delta passes, or batched sibling lockstep;
   /// bit-identical in every mode). Unset: resolved from the
-  /// PTGSCHED_KERNEL environment variable — see EvalEngineConfig::kernel.
+  /// PTGSCHED_KERNEL environment variable, Full when that is unset — see
+  /// EvalEngineConfig::kernel.
   std::optional<KernelMode> kernel;
   /// Memoize exact makespans per allocation in the evaluation engine.
   /// Mutants frequently collide with their parents and each other under
@@ -116,8 +121,9 @@ class Emts {
 
   /// Run against a caller-owned (typically pooled — see
   /// eval/engine_pool.hpp) evaluation engine instead of building one.
-  /// The run binds the engine's cancellation token to config().cancel and
-  /// uses the engine's mapping policy and memo cache as-is; memo hits
+  /// The run binds the engine's cancellation token to config().cancel,
+  /// applies config().use_rejection, clears the engine's incumbent, and
+  /// uses the engine's mapping policy, kernel and memo cache as-is; memo hits
   /// return exact values, so a warm engine yields results bit-identical
   /// to a cold one. EmtsResult::eval_stats covers this run only. The
   /// engine must be quiescent (one run per engine at a time).

@@ -45,9 +45,11 @@ EnginePool::Lease EnginePool::acquire(
                                                config_.mapping, cfg);
   }
   // Per-run state must not leak between requests: the token belongs to the
-  // previous request, the stats to its report, and a stale incumbent bound
-  // could wrongly reject evaluations of the next run.
+  // previous request, the stats to its report, a stale incumbent bound
+  // could wrongly reject evaluations of the next run, and the rejection
+  // switch is the previous run's policy (Emts::schedule sets its own).
   engine->set_cancel(nullptr);
+  engine->set_rejection(false);
   engine->set_incumbent(std::numeric_limits<double>::infinity());
   engine->reset_stats();
   return Lease(this, key, std::move(engine));

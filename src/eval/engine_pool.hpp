@@ -97,7 +97,7 @@ class EnginePool {
   /// (outside the pool lock) to build the problem the new engine binds to;
   /// the instance is warmed by the engine's constructor path. The returned
   /// lease's engine has per-run state neutralized: stats reset, incumbent
-  /// cleared, cancellation token unbound.
+  /// cleared, rejection off, cancellation token unbound.
   [[nodiscard]] Lease acquire(
       std::uint64_t key,
       const std::function<std::shared_ptr<const ProblemInstance>()>&

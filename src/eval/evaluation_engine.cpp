@@ -27,11 +27,11 @@ std::uint64_t allocation_hash(const Allocation& alloc) noexcept {
 }
 
 /// Resolve the batch kernel: explicit config wins, then the
-/// PTGSCHED_KERNEL environment variable, then Incremental.
+/// PTGSCHED_KERNEL environment variable, then Full.
 KernelMode resolve_kernel_mode(const std::optional<KernelMode>& cfg) {
   if (cfg.has_value()) return *cfg;
   const char* env = std::getenv("PTGSCHED_KERNEL");
-  if (env == nullptr || *env == '\0') return KernelMode::Incremental;
+  if (env == nullptr || *env == '\0') return KernelMode::Full;
   const std::string_view value(env);
   if (value == "full") return KernelMode::Full;
   if (value == "incremental") return KernelMode::Incremental;
@@ -243,14 +243,34 @@ void EvaluationEngine::build_parent_traces(
   }
 }
 
+void EvaluationEngine::offer_to_bound(double fitness) {
+  if (best_capacity_ == 0 || !std::isfinite(fitness)) return;
+  if (best_.size() < best_capacity_) {
+    best_.push_back(fitness);
+    std::push_heap(best_.begin(), best_.end());
+  } else if (fitness < best_.front()) {
+    std::pop_heap(best_.begin(), best_.end());
+    best_.back() = fitness;
+    std::push_heap(best_.begin(), best_.end());
+  }
+}
+
 void EvaluationEngine::evaluate_batch(std::vector<Individual>& pool,
                                       std::size_t begin) {
   const std::size_t n = pool.size() - begin;
   if (n == 0) return;
   WallTimer timer;
-  const double bound = config_.use_rejection
-                           ? incumbent_.load(std::memory_order_relaxed)
-                           : std::numeric_limits<double>::infinity();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const bool bounded = config_.use_rejection;
+  const double incumbent =
+      bounded ? incumbent_.load(std::memory_order_relaxed) : kInf;
+  // The running bound starts from the parents: pool[0..begin) are the
+  // survivors the caller keeps competing against.
+  best_.clear();
+  best_capacity_ = bounded ? begin : 0;
+  for (std::size_t i = 0; i < best_capacity_; ++i) {
+    offer_to_bound(pool[i].fitness);
+  }
 
   // Incremental/Batched kernels, phase 1: one trace per unique in-pool
   // parent.
@@ -258,39 +278,53 @@ void EvaluationEngine::evaluate_batch(std::vector<Individual>& pool,
     build_parent_traces(pool, begin);
   }
 
-  if (kernel_mode_ == KernelMode::Batched) {
-    // Phase 2, batched: whole sibling groups per kernel session.
-    evaluate_sibling_groups(pool, begin, bound);
-  } else {
-    // Phase 2: evaluate the children — against their parent's trace when
-    // one was built, as a full pass otherwise. Bit-identical either way.
-    const auto evaluate_child = [&](std::size_t i, std::size_t slot) {
-      Individual& child = pool[begin + i];
-      child.fitness = fitness_for(child.genes, slot, bound, true,
-                                  trace_of(child, begin), child.touched);
-    };
-    if (pool_.num_threads() == 0) {
-      for (std::size_t i = 0; i < n; ++i) evaluate_child(i, 0);
+  // Phase 2, wave by wave. Without rejection nothing flows between
+  // children, so one wave covers the batch.
+  const std::size_t wave = bounded ? kRejectionWave : n;
+  for (std::size_t lo = begin; lo < pool.size(); lo += wave) {
+    const std::size_t hi = std::min(pool.size(), lo + wave);
+    const double bound = std::min(incumbent, running_bound());
+    if (kernel_mode_ == KernelMode::Batched) {
+      evaluate_sibling_groups(pool, begin, lo, hi, bound);
     } else {
-      // Small blocks keep all workers busy even when rejection bails some
-      // evaluations out early; the slot pins each participant to its own
-      // ListScheduler scratch.
-      const std::size_t grain =
-          std::max<std::size_t>(1, n / (4 * pool_.num_slots()));
-      pool_.parallel_for_blocked(
-          n, grain, [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-            for (std::size_t i = lo; i < hi; ++i) evaluate_child(i, slot);
-          });
+      evaluate_children(pool, begin, lo, hi, bound);
     }
+    for (std::size_t i = lo; i < hi; ++i) offer_to_bound(pool[i].fitness);
   }
   batches_.fetch_add(1, std::memory_order_relaxed);
   eval_seconds_.fetch_add(timer.seconds(), std::memory_order_relaxed);
 }
 
+void EvaluationEngine::evaluate_children(std::vector<Individual>& pool,
+                                         std::size_t begin, std::size_t lo,
+                                         std::size_t hi, double bound) {
+  const auto evaluate_child = [&](std::size_t i, std::size_t slot) {
+    Individual& child = pool[i];
+    child.fitness = fitness_for(child.genes, slot, bound, true,
+                                trace_of(child, begin), child.touched);
+  };
+  if (pool_.num_threads() == 0) {
+    for (std::size_t i = lo; i < hi; ++i) evaluate_child(i, 0);
+    return;
+  }
+  // Small blocks keep all workers busy even when rejection bails some
+  // evaluations out early; the slot pins each participant to its own
+  // ListScheduler scratch.
+  const std::size_t n = hi - lo;
+  const std::size_t grain =
+      std::max<std::size_t>(1, n / (4 * pool_.num_slots()));
+  pool_.parallel_for_blocked(
+      n, grain, [&](std::size_t b, std::size_t e, std::size_t slot) {
+        for (std::size_t i = b; i < e; ++i) evaluate_child(lo + i, slot);
+      });
+}
+
 void EvaluationEngine::evaluate_sibling_groups(std::vector<Individual>& pool,
                                                std::size_t begin,
+                                               std::size_t lo,
+                                               std::size_t hi,
                                                double bound) {
-  const std::size_t n = pool.size() - begin;
+  const std::size_t n = hi - lo;
   // Order children by traced parent; children without a usable trace sort
   // to the back (kLooseGroup). The sort is stable, so in-group and loose
   // evaluation order is pool order — not that order matters for results
@@ -304,7 +338,7 @@ void EvaluationEngine::evaluate_sibling_groups(std::vector<Individual>& pool,
   group_keys_.resize(n);
   group_bins_.assign(begin + 2, 0);
   for (std::size_t i = 0; i < n; ++i) {
-    const Individual& child = pool[begin + i];
+    const Individual& child = pool[lo + i];
     const std::size_t key =
         trace_of(child, begin) != nullptr ? child.parent : kLooseGroup;
     group_keys_[i] = key;
@@ -336,10 +370,10 @@ void EvaluationEngine::evaluate_sibling_groups(std::vector<Individual>& pool,
         (key == kLooseGroup || config_.sibling_batch == 0)
             ? j - i
             : config_.sibling_batch;
-    for (std::size_t lo = i; lo < j; lo += chunk) {
-      sibling_groups_.push_back({key, static_cast<std::uint32_t>(lo),
+    for (std::size_t g = i; g < j; g += chunk) {
+      sibling_groups_.push_back({key, static_cast<std::uint32_t>(g),
                                  static_cast<std::uint32_t>(
-                                     std::min(j, lo + chunk))});
+                                     std::min(j, g + chunk))});
     }
     i = j;
   }
@@ -347,7 +381,7 @@ void EvaluationEngine::evaluate_sibling_groups(std::vector<Individual>& pool,
   const auto run_group = [&](std::size_t g, std::size_t slot) {
     const SiblingGroup& grp = sibling_groups_[g];
     if (grp.parent == kLooseGroup) {
-      Individual& child = pool[begin + group_order_[grp.lo]];
+      Individual& child = pool[lo + group_order_[grp.lo]];
       child.fitness = fitness_for(child.genes, slot, bound, true, nullptr,
                                   child.touched);
       return;
@@ -358,7 +392,7 @@ void EvaluationEngine::evaluate_sibling_groups(std::vector<Individual>& pool,
           1, std::memory_order_relaxed);
     }
     for (std::uint32_t k = grp.lo; k < grp.hi; ++k) {
-      Individual& child = pool[begin + group_order_[k]];
+      Individual& child = pool[lo + group_order_[k]];
       child.fitness =
           sibling_fitness(child.genes, child.touched, trace, slot, bound);
     }
@@ -372,8 +406,8 @@ void EvaluationEngine::evaluate_sibling_groups(std::vector<Individual>& pool,
     // rejection imbalance rebalances across workers.
     pool_.parallel_for_blocked(
         sibling_groups_.size(), 1,
-        [&](std::size_t lo, std::size_t hi, std::size_t slot) {
-          for (std::size_t g = lo; g < hi; ++g) run_group(g, slot);
+        [&](std::size_t b, std::size_t e, std::size_t slot) {
+          for (std::size_t g = b; g < e; ++g) run_group(g, slot);
         });
   }
 }

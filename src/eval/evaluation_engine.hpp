@@ -14,20 +14,35 @@
 //   * an optional allocation-memoization cache (exact makespan per
 //     allocation vector — mutants frequently collide with their parents
 //     and each other under small mutation counts),
-//   * the rejection-strategy incumbent bound (Section VI future work),
-//     published between generations via BatchEvaluator::on_selection,
+//   * the rejection strategy (Section VI future work): each offspring's
+//     pass is bounded by the batch's running mu-th best exact fitness
+//     (see "Rejection" below),
 //   * an EvalStats telemetry snapshot (evaluations, cache hits/misses,
 //     rejections, wall-seconds in evaluation) surfaced through EmtsResult
 //     and the campaign CSV writers.
 //
+// Rejection: with use_rejection on, evaluate_batch(pool, begin) treats
+// pool[0..begin) as the survivors of the last selection and assumes the
+// caller keeps the best `begin` entries of the pool (BatchEvaluator's
+// contract under plus selection). Offspring are evaluated in fixed waves
+// of kRejectionWave children, in pool order. Every child of a wave is
+// bounded by the begin-th best exact fitness among the parents and the
+// children of earlier waves (and by a manually published incumbent, if
+// lower). A bounded pass that sees start + bottom level > bound aborts
+// with +infinity: the child's exact makespan then exceeds that of at
+// least `begin` pool entries, so it can never be selected. Survivors, and
+// therefore the whole evolution trajectory, are the same as without
+// rejection in every kernel mode.
+//
 // Determinism: the fitness assigned to an individual is a pure function of
-// its allocation (and, with rejection, of the current bound), never of
-// evaluation order or thread count — cache hits return exactly the value a
-// fresh ListScheduler pass would compute, and bounded (rejected, +inf)
-// results are never cached. Only the stats counters may differ between
-// thread counts (duplicate individuals inside one batch can race from
-// "hit" to "miss"); rejections, fitness values, and the evolution
-// trajectory do not.
+// its allocation and the bound of its wave, and a wave's bound depends only
+// on earlier waves — never on thread count or on the order inside a wave.
+// Cache hits return exactly the value a fresh ListScheduler pass would
+// compute, and bounded (rejected, +inf) results are never cached. With the
+// memo cache off, rejection counts are therefore identical across thread
+// counts and reruns. With it on, the cold-cache sampler is per slot, so a
+// duplicate may be rejected on one thread count and served exactly from the
+// cache on another: the counters differ, the survivors do not.
 
 #include <atomic>
 #include <cstdint>
@@ -73,9 +88,11 @@ struct EvalEngineConfig {
   /// Evaluation lanes; 0 = evaluate inline on the calling thread. A value
   /// of T creates T slots served by T - 1 workers plus the caller.
   std::size_t threads = 0;
-  /// Enable the incumbent-bound rejection strategy: evaluations abort with
-  /// +infinity as soon as the partial schedule provably exceeds the bound
-  /// published by the last selection (ListScheduler::makespan_bounded).
+  /// Enable the rejection strategy: batch evaluations abort with +infinity
+  /// as soon as the partial schedule provably exceeds the batch's running
+  /// bound (ListScheduler::makespan_bounded; see "Rejection" above). Off
+  /// here because a bare engine cannot know the caller's selection; EMTS
+  /// turns it on per run (EmtsConfig::use_rejection).
   bool use_rejection = false;
   /// Memoize exact makespans per allocation vector. Hits return the exact
   /// cached value, so results are bit-identical with the cache off.
@@ -86,7 +103,7 @@ struct EvalEngineConfig {
   /// Batch evaluation kernel. Unset (the default): resolved once at
   /// construction from the PTGSCHED_KERNEL environment variable — "full",
   /// "incremental" or "batched", any other value throws — defaulting to
-  /// Incremental when the variable is absent or empty. The env switch
+  /// Full when the variable is absent or empty. The env switch
   /// exists so whole experiment campaigns and benches can be flipped
   /// between kernels without touching configuration code.
   std::optional<KernelMode> kernel;
@@ -154,8 +171,10 @@ class EvaluationEngine final : public BatchEvaluator {
   // BatchEvaluator interface -------------------------------------------
   void evaluate_batch(std::vector<Individual>& pool,
                       std::size_t begin) override;
-  /// Publishes the worst survivor as the rejection bound (no-op unless
-  /// config.use_rejection).
+  /// Publishes the worst survivor as the incumbent (no-op unless
+  /// config.use_rejection). Under the batch contract the running bound
+  /// starts at this value anyway; the incumbent matters for callers that
+  /// publish a bound by hand.
   void on_selection(std::size_t generation, double best,
                     double worst) override;
 
@@ -176,7 +195,8 @@ class EvaluationEngine final : public BatchEvaluator {
 
   // Rejection bound ----------------------------------------------------
   /// Manually publish an incumbent bound (evaluate_batch must not be
-  /// running). on_selection does this automatically for the ES.
+  /// running). Batch evaluations under rejection are bounded by the lower
+  /// of the incumbent and the running bound.
   void set_incumbent(double bound) noexcept {
     incumbent_.store(bound, std::memory_order_relaxed);
   }
@@ -192,6 +212,11 @@ class EvaluationEngine final : public BatchEvaluator {
   void set_cancel(const CancellationToken* cancel) noexcept {
     config_.cancel = cancel;
   }
+
+  /// Switch the rejection strategy on or off for the next runs (same
+  /// quiescence rule as set_cancel). Emts::schedule applies its config's
+  /// setting here, so a pooled engine follows each run's policy.
+  void set_rejection(bool on) noexcept { config_.use_rejection = on; }
 
   // Telemetry ----------------------------------------------------------
   [[nodiscard]] EvalStats stats() const;
@@ -285,13 +310,36 @@ class EvaluationEngine final : public BatchEvaluator {
   void build_parent_traces(const std::vector<Individual>& pool,
                            std::size_t begin);
 
-  /// The sibling-group phase 2 of a Batched-mode batch: order children by
-  /// traced parent, carve contiguous groups (chunked by
-  /// config.sibling_batch), and run each group in one kernel batch
-  /// session on one slot. Children without a usable trace run through the
-  /// plain fitness_for path.
+  /// Children per rejection wave: each wave is bounded by the parents and
+  /// the earlier waves only, so the bound never depends on scheduling.
+  static constexpr std::size_t kRejectionWave = 8;
+
+  /// Phase 2 of a Full/Incremental batch over the children pool[lo..hi):
+  /// each against its parent's trace when one was built, as a full pass
+  /// otherwise.
+  void evaluate_children(std::vector<Individual>& pool, std::size_t begin,
+                         std::size_t lo, std::size_t hi, double bound);
+
+  /// The sibling-group phase 2 of a Batched-mode batch over the children
+  /// pool[lo..hi): order them by traced parent, carve contiguous groups
+  /// (chunked by config.sibling_batch), and run each group in one kernel
+  /// batch session on one slot. Children without a usable trace run
+  /// through the plain fitness_for path.
   void evaluate_sibling_groups(std::vector<Individual>& pool,
-                               std::size_t begin, double bound);
+                               std::size_t begin, std::size_t lo,
+                               std::size_t hi, double bound);
+
+  /// Offer an exact fitness to the running bound: best_ keeps the
+  /// best_capacity_ lowest finite values as a max-heap. Rejected and
+  /// cancelled (+inf) results are ignored.
+  void offer_to_bound(double fitness);
+  /// The best_capacity_-th best fitness offered so far (+inf until that
+  /// many finite values arrived).
+  [[nodiscard]] double running_bound() const noexcept {
+    return best_capacity_ > 0 && best_.size() == best_capacity_
+               ? best_.front()
+               : std::numeric_limits<double>::infinity();
+  }
 
   /// One child of an open sibling-batch session on `slot` (the session
   /// must be bound to `trace`): same memo / cancel / stats behavior as
@@ -322,11 +370,15 @@ class EvaluationEngine final : public BatchEvaluator {
   void cache_insert(std::uint64_t key, const Allocation& alloc, double value);
 
   EvalEngineConfig config_;
-  KernelMode kernel_mode_ = KernelMode::Incremental;
+  KernelMode kernel_mode_ = KernelMode::Full;
   std::shared_ptr<const ProblemInstance> instance_;
   std::vector<std::unique_ptr<ListScheduler>> slots_;
   ThreadPool pool_;
   std::atomic<double> incumbent_;
+
+  /// Running-bound scratch of the current batch (see offer_to_bound).
+  std::vector<double> best_;
+  std::size_t best_capacity_ = 0;
 
   /// Parent traces, indexed like the pool's parent indices. traces_[p] is
   /// meaningful only when trace_epoch_[p] == batch_epoch_ (built for the
@@ -339,7 +391,7 @@ class EvaluationEngine final : public BatchEvaluator {
   std::uint64_t batch_epoch_ = 0;
   std::vector<std::size_t> trace_parents_;  ///< Unique parents this batch.
 
-  /// Batched-mode scratch: child indices (relative to `begin`) ordered by
+  /// Batched-mode scratch: child indices (relative to the wave) ordered by
   /// parent, and the contiguous [lo, hi) sibling groups carved out of
   /// that order. parent == kLooseGroup marks a no-trace child evaluated
   /// through the plain path.

@@ -97,6 +97,7 @@ TEST(AnyModel, RejectionStaysExactUnderSpikyModels) {
   for (const auto& g : graphs) {
     EmtsConfig cfg = emts5_config();
     cfg.seed = 5;
+    cfg.use_rejection = false;
     const EmtsResult plain = Emts(cfg).schedule(g, *model, cluster);
     cfg.use_rejection = true;
     const EmtsResult rejecting = Emts(cfg).schedule(g, *model, cluster);

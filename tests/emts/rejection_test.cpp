@@ -80,8 +80,8 @@ TEST(BoundedMapping, RejectionIsSound) {
 }
 
 TEST(EmtsRejection, BestResultUnchanged) {
-  // The incumbent bound only discards individuals worse than the previous
-  // generation's best, so the final best allocation is identical with and
+  // The running bound only discards offspring that at least mu pool
+  // entries beat, so the final best allocation is identical with and
   // without rejection (single-threaded).
   const auto graphs = irregular_corpus(60, 4, 92);
   const Cluster c = grelon();
@@ -89,6 +89,7 @@ TEST(EmtsRejection, BestResultUnchanged) {
   for (const auto& g : graphs) {
     EmtsConfig cfg = emts5_config();
     cfg.seed = 5;
+    cfg.use_rejection = false;
     const EmtsResult plain = Emts(cfg).schedule(g, model, c);
     cfg.use_rejection = true;
     const EmtsResult rejecting = Emts(cfg).schedule(g, model, c);
@@ -117,6 +118,7 @@ TEST(EmtsRejection, DisabledMeansZeroRejections) {
   const AmdahlModel model;
   EmtsConfig cfg = emts5_config();
   cfg.seed = 7;
+  cfg.use_rejection = false;
   const EmtsResult r = Emts(cfg).schedule(g, model, c);
   EXPECT_EQ(r.rejected_evaluations, 0u);
 }
