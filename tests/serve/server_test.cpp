@@ -177,8 +177,11 @@ TEST_F(ServerTest, UserCancelOfAQueuedRequest) {
   ServeClient client(config_.socket_path);
 
   // Park a slow request on the single worker, then cancel one behind it.
+  // It must outlast the next submit and the cancel round trip: with
+  // rejection on by default, a 100-task layered job finished first.
   JobSpec heavy = tiny_spec();
-  heavy.tasks = 100;
+  heavy.cls = "irregular";
+  heavy.tasks = 200;
   const SubmitOutcome running = client.submit(heavy, "t");
   ASSERT_TRUE(running.accepted);
   const SubmitOutcome queued = client.submit(tiny_spec(), "t");
