@@ -3,54 +3,29 @@
 // The paper's Section VI: "The execution time of the EA is mainly
 // determined by the mapping function as it evaluates the fitness of
 // individuals." This bench measures fitness evaluations per second for
-// lambda-sized batches under two workload lanes:
+// lambda-sized batches through the persistent EvaluationEngine (pool
+// created once, dynamic blocked work distribution, SoA MappingKernel):
 //
-// Heuristic-seed lane (batch has no lineage, every child is a full pass):
-//   legacy  — the pre-engine evaluation loop end to end: per-slot
-//             ReferenceMapper passes (the preserved MappingCore
-//             algorithm), a fresh ThreadPool for every generation, and
-//             one static chunk per slot (no rebalancing);
-//   engine  — the persistent EvaluationEngine (pool created once, dynamic
-//             blocked work distribution, SoA MappingKernel), memo off;
+//   engine  — memo off: every individual is one full list-scheduling pass;
 //   +memo   — the same engine with the allocation-memoization cache on
 //             (batches contain duplicate mutants, as real EMTS runs do).
 //
-// Mutation-replay lane (generation-shaped batches: mu parents plus lambda
-// single-gene children — the late-generation / local-search neighbor
-// workload where mutation_count has annealed to its floor and each child
-// differs from its parent at exactly one allele):
-//   reference    — ReferenceMapper full passes, legacy-style chunking
-//                  (the "current engine path" before this PR);
-//   full         — the engine forced to KernelMode::Full;
-//   incremental  — KernelMode::Incremental (per-parent traces plus
-//                  certified-prefix delta passes);
-//   batched      — KernelMode::Batched (sibling-lockstep sessions: one
-//                  shared bottom-level load per parent group, whole-order
-//                  certification, heap-free replay). Fitness sums are
-//                  compared bit-for-bit across all four as a sanity
-//                  check.
-//
 // Batches are generated once with the real EMTS mutation operator from an
-// MCPA seed, so all strategies evaluate the identical individuals.
+// MCPA seed, so every lane evaluates the identical individuals, and the
+// exact fitness sums of all lanes and thread counts must agree bit for
+// bit (a mismatch exits nonzero).
 //
-// Heterogeneous lane (same replay pools reinterpreted as processor
+// Heterogeneous lane (the same batches reinterpreted as processor
 // mappings on a structurally heterogeneous uniform-speed twin of the
-// platform — every speed 1.0, every link cost 0.0, so the kernel runs
-// its full heterogeneous machinery on identical arithmetic): reference /
-// full / incremental / batched at one thread, bit-identity checked, plus
-// HEFT/PEFT baseline makespans on a genuinely heterogeneous variant.
+// platform — every speed 1.0, every link cost 0.0, so the kernel runs its
+// heterogeneous machinery on identical arithmetic): the engine lane at
+// one thread, plus HEFT/PEFT baseline makespans on a genuinely
+// heterogeneous variant.
 //
-// `--json PATH` writes the whole table as a machine-readable report
-// (consumed by scripts/bench_report); `--min-speedup X` exits nonzero
-// unless the single-thread incremental/full replay speedup reaches X (the
-// perf-smoke guard that the delta kernel never regresses below the full
-// pass), and `--min-batched-speedup X` does the same for the
-// single-thread batched/incremental speedup. `--max-hetero-overhead X`
-// fails the run when the heterogeneous full lane costs more than X times
-// the homogeneous full lane per evaluation (the perf_smoke_hetero
-// guard). `--batch LIST` additionally sweeps the engine's sibling_batch
-// chunk size (0 = unbounded groups) over the comma-separated LIST at one
-// thread, so the amortization curve is part of the committed report.
+// `--json PATH` writes the whole table as a machine-readable report;
+// `--max-hetero-overhead X` fails the run when the heterogeneous engine
+// lane costs more than X times the homogeneous one per evaluation (the
+// perf_smoke_hetero guard).
 
 #include <algorithm>
 #include <cstdio>
@@ -58,133 +33,36 @@
 
 #include "daggen/corpus.hpp"
 #include "emts/emts.hpp"
-#include "emts/mutation.hpp"
 #include "eval/evaluation_engine.hpp"
 #include "heuristics/allocation_heuristic.hpp"
 #include "sched/list_scheduler.hpp"
-#include "sched/reference_mapper.hpp"
 #include "support/cli.hpp"
 #include "support/json.hpp"
 #include "support/strings.hpp"
-#include "support/thread_pool.hpp"
 #include "support/timer.hpp"
 
 using namespace ptgsched;
 
 namespace {
 
-// The seed's evaluation loop end to end: per-slot ReferenceMapper (the
-// preserved legacy mapping pass), fresh pool per batch, one static chunk
-// per slot — the baseline every engine lane is measured against.
-double legacy_seconds(const std::shared_ptr<const ProblemInstance>& instance,
-                      const std::vector<std::vector<Individual>>& batches,
-                      std::size_t threads) {
-  const std::size_t slots = std::max<std::size_t>(1, threads);
-  std::vector<std::unique_ptr<ReferenceMapper>> mappers;
-  for (std::size_t i = 0; i < slots; ++i) {
-    mappers.push_back(std::make_unique<ReferenceMapper>(instance));
-  }
-  WallTimer timer;
-  for (const auto& batch : batches) {
-    auto pool = batch;
-    const std::size_t n = pool.size();
-    if (slots == 1) {
-      for (auto& ind : pool) ind.fitness = mappers[0]->makespan(ind.genes);
-    } else {
-      ThreadPool pool_threads(slots - 1);  // rebuilt every generation
-      const std::size_t chunk = (n + slots - 1) / slots;
-      pool_threads.parallel_for(slots, [&](std::size_t slot) {
-        const std::size_t lo = slot * chunk;
-        const std::size_t hi = std::min(n, lo + chunk);
-        for (std::size_t i = lo; i < hi; ++i) {
-          pool[i].fitness = mappers[slot]->makespan(pool[i].genes);
-        }
-      });
-    }
-  }
-  return timer.seconds();
-}
+struct LaneRun {
+  double seconds = 0.0;
+  double fitness_sum = 0.0;  ///< Exact sum over all fitnesses.
+};
 
-double engine_seconds(const std::shared_ptr<const ProblemInstance>& instance,
-                      const std::vector<std::vector<Individual>>& batches,
-                      std::size_t threads, bool memoize) {
+LaneRun engine_run(const std::shared_ptr<const ProblemInstance>& instance,
+                   const std::vector<std::vector<Individual>>& batches,
+                   std::size_t threads, bool memoize) {
   EvalEngineConfig cfg;
   cfg.threads = threads;
   cfg.memoize = memoize;
-  cfg.kernel = KernelMode::Full;  // no lineage in these batches anyway
   EvaluationEngine engine(instance, {}, cfg);
+  LaneRun run;
   WallTimer timer;
   for (const auto& batch : batches) {
     auto pool = batch;
     engine.evaluate_batch(pool, 0);
-  }
-  return timer.seconds();
-}
-
-struct ReplayRun {
-  double seconds = 0.0;
-  double fitness_sum = 0.0;  ///< Exact sum over all child fitnesses.
-};
-
-// The replay batches through the pre-PR path: ReferenceMapper full passes
-// over the children with legacy-style static chunking. This is the
-// "current engine path" the incremental kernel's speedup is quoted
-// against.
-ReplayRun replay_reference_seconds(
-    const std::shared_ptr<const ProblemInstance>& instance,
-    const std::vector<std::vector<Individual>>& child_batches,
-    std::size_t threads) {
-  const std::size_t slots = std::max<std::size_t>(1, threads);
-  std::vector<std::unique_ptr<ReferenceMapper>> mappers;
-  for (std::size_t i = 0; i < slots; ++i) {
-    mappers.push_back(std::make_unique<ReferenceMapper>(instance));
-  }
-  ReplayRun run;
-  WallTimer timer;
-  for (const auto& batch : child_batches) {
-    auto pool = batch;
-    const std::size_t n = pool.size();
-    if (slots == 1) {
-      for (auto& ind : pool) ind.fitness = mappers[0]->makespan(ind.genes);
-    } else {
-      ThreadPool pool_threads(slots - 1);
-      const std::size_t chunk = (n + slots - 1) / slots;
-      pool_threads.parallel_for(slots, [&](std::size_t slot) {
-        const std::size_t lo = slot * chunk;
-        const std::size_t hi = std::min(n, lo + chunk);
-        for (std::size_t i = lo; i < hi; ++i) {
-          pool[i].fitness = mappers[slot]->makespan(pool[i].genes);
-        }
-      });
-    }
     for (const auto& ind : pool) run.fitness_sum += ind.fitness;
-  }
-  run.seconds = timer.seconds();
-  return run;
-}
-
-// Replay generation-shaped batches (mu parents + lambda children with
-// parent/touched lineage) through the engine under one kernel mode.
-ReplayRun replay_seconds(
-    const std::shared_ptr<const ProblemInstance>& instance,
-    const std::vector<Individual>& parents,
-    const std::vector<std::vector<Individual>>& child_batches,
-    std::size_t threads, KernelMode kernel, std::size_t sibling_batch = 0) {
-  EvalEngineConfig cfg;
-  cfg.threads = threads;
-  cfg.memoize = false;  // measure the kernel, not the cache
-  cfg.kernel = kernel;
-  cfg.sibling_batch = sibling_batch;
-  EvaluationEngine engine(instance, {}, cfg);
-  ReplayRun run;
-  WallTimer timer;
-  for (const auto& batch : child_batches) {
-    auto pool = parents;
-    pool.insert(pool.end(), batch.begin(), batch.end());
-    engine.evaluate_batch(pool, parents.size());
-    for (std::size_t i = parents.size(); i < pool.size(); ++i) {
-      run.fitness_sum += pool[i].fitness;
-    }
   }
   run.seconds = timer.seconds();
   return run;
@@ -194,11 +72,10 @@ ReplayRun replay_seconds(
 
 int main(int argc, char** argv) {
   CliParser cli("eval_throughput",
-                "EXP-M2: fitness evaluations/second — legacy per-generation "
-                "pool vs the persistent EvaluationEngine, and the full vs "
-                "incremental mapping kernel on mutation-replay batches.");
+                "EXP-M2: fitness evaluations/second through the persistent "
+                "EvaluationEngine, with and without the memo cache, plus "
+                "the heterogeneous-kernel overhead.");
   cli.add_option("tasks", "Tasks per PTG", "100");
-  cli.add_option("mu", "Parents per replay batch (EMTS-10: 10)", "10");
   cli.add_option("lambda", "Individuals per batch (EMTS-10: 100)", "100");
   cli.add_option("batches", "Batches (generations) per run", "10");
   cli.add_option("reps", "Repetitions; best run is reported", "3");
@@ -206,27 +83,14 @@ int main(int argc, char** argv) {
                  "8");
   cli.add_option("seed", "Base seed", "42");
   cli.add_option("json", "Write a machine-readable report to this path", "");
-  cli.add_option("min-speedup",
-                 "Fail unless the 1-thread incremental/full replay speedup "
-                 "reaches this (0 = off)",
-                 "0");
-  cli.add_option("min-batched-speedup",
-                 "Fail unless the 1-thread batched/incremental replay "
-                 "speedup reaches this (0 = off)",
-                 "0");
   cli.add_option("max-hetero-overhead",
-                 "Fail if the 1-thread heterogeneous full lane costs more "
-                 "than this many times the homogeneous full lane per "
+                 "Fail if the 1-thread heterogeneous engine lane costs more "
+                 "than this many times the homogeneous engine lane per "
                  "evaluation (0 = off)",
-                 "0");
-  cli.add_option("batch",
-                 "Comma-separated sibling_batch chunk sizes to sweep at 1 "
-                 "thread on the batched lane (0 = unbounded groups)",
                  "0");
   try {
     if (!cli.parse(argc, argv)) return 0;
     const int tasks = static_cast<int>(cli.get_int("tasks"));
-    const auto mu = static_cast<std::size_t>(cli.get_int("mu"));
     const auto lambda = static_cast<std::size_t>(cli.get_int("lambda"));
     const auto batches_n = static_cast<std::size_t>(cli.get_int("batches"));
     const auto reps = static_cast<std::size_t>(cli.get_int("reps"));
@@ -234,13 +98,7 @@ int main(int argc, char** argv) {
         static_cast<std::size_t>(cli.get_int("max-threads"));
     const std::uint64_t seed = cli.get_u64("seed");
     const std::string json_path = cli.get("json");
-    const double min_speedup = cli.get_double("min-speedup");
-    const double min_batched_speedup = cli.get_double("min-batched-speedup");
     const double max_hetero_overhead = cli.get_double("max-hetero-overhead");
-    std::vector<std::size_t> batch_sizes;
-    for (const std::string& tok : split(cli.get("batch"), ',')) {
-      batch_sizes.push_back(static_cast<std::size_t>(std::stoul(tok)));
-    }
 
     const Ptg g = irregular_corpus(tasks, 1, seed).front();
     const Cluster cluster = grelon();
@@ -264,238 +122,79 @@ int main(int argc, char** argv) {
     const double total =
         static_cast<double>(lambda) * static_cast<double>(batches_n);
 
-    // Mutation-replay lane: mu distinct parents, then per batch lambda
-    // single-gene children of random parents with full lineage (parent
-    // index + touched genes) — the pools a plus-selection ES hands
-    // evaluate_batch once mutation_count has annealed to its floor of
-    // one allele, and the exact shape of a local-search neighborhood
-    // sweep around the survivors.
-    const MutationParams mp;
-    std::vector<Individual> parents(mu);
-    for (auto& p : parents) p.genes = mutate(base, 0, rng);
-    std::vector<std::vector<Individual>> replay(batches_n);
-    for (std::size_t b = 0; b < batches_n; ++b) {
-      replay[b].resize(lambda);
-      for (auto& child : replay[b]) {
-        const std::size_t pidx = rng.index(mu);
-        child.parent = pidx;
-        child.genes = parents[pidx].genes;
-        const auto pos = static_cast<TaskId>(rng.index(child.genes.size()));
-        const int delta = sample_allocation_delta(mp, rng);
-        child.genes[pos] = std::clamp(child.genes[pos] + delta, 1, P);
-        child.touched.assign(1, pos);
-      }
-    }
-
     std::printf("# EXP-M2: %zu batches x lambda=%zu, %d-task irregular PTG "
                 "on %s (%d procs), best of %zu reps\n",
                 batches_n, lambda, tasks, cluster.name().c_str(), P, reps);
     std::vector<std::vector<std::string>> table;
-    table.push_back({"threads", "legacy ev/s", "engine ev/s", "speedup",
-                     "engine+memo ev/s", "replay ref ev/s",
-                     "replay full ev/s", "replay incr ev/s",
-                     "replay batch ev/s", "vs full", "vs ref", "b vs i"});
+    table.push_back({"threads", "engine ev/s", "engine+memo ev/s"});
     JsonArray rows;
-    double speedup_vs_full_1t = 0.0;
-    double speedup_vs_ref_1t = 0.0;
-    double batched_vs_incr_1t = 0.0;
-    double incr_1t_seconds = 0.0;
-    double full_1t_seconds = 0.0;
-    double expected_sum = 0.0;  // the 1-thread reference fitness sum
+    double engine_1t_seconds = 0.0;
+    double expected_sum = 0.0;  // the first run's fitness sum
+    bool have_sum = false;
+    const auto check_sum = [&](const LaneRun& run, const char* lane,
+                               std::size_t t) {
+      if (!have_sum) {
+        expected_sum = run.fitness_sum;
+        have_sum = true;
+        return true;
+      }
+      if (run.fitness_sum == expected_sum) return true;
+      std::fprintf(stderr,
+                   "eval_throughput: %s lane at %zu threads sums to %.17g, "
+                   "want %.17g\n",
+                   lane, t, run.fitness_sum, expected_sum);
+      return false;
+    };
     for (std::size_t t = 1; t <= max_threads; t *= 2) {
-      double legacy_best = std::numeric_limits<double>::infinity();
       double engine_best = std::numeric_limits<double>::infinity();
       double memo_best = std::numeric_limits<double>::infinity();
-      double ref_best = std::numeric_limits<double>::infinity();
-      double full_best = std::numeric_limits<double>::infinity();
-      double incr_best = std::numeric_limits<double>::infinity();
-      double batch_best = std::numeric_limits<double>::infinity();
       for (std::size_t r = 0; r < reps; ++r) {
-        legacy_best =
-            std::min(legacy_best, legacy_seconds(instance, batches, t));
-        engine_best = std::min(engine_best,
-                               engine_seconds(instance, batches, t, false));
-        memo_best =
-            std::min(memo_best, engine_seconds(instance, batches, t, true));
-        const ReplayRun ref = replay_reference_seconds(instance, replay, t);
-        const ReplayRun full =
-            replay_seconds(instance, parents, replay, t, KernelMode::Full);
-        const ReplayRun incr = replay_seconds(instance, parents, replay, t,
-                                              KernelMode::Incremental);
-        const ReplayRun batched = replay_seconds(instance, parents, replay,
-                                                 t, KernelMode::Batched);
-        // All four replay lanes are bit-identical by contract (the
-        // kernel against its preserved oracle, and the delta/sibling
-        // paths against the full pass); any drift here is a correctness
-        // bug, not a measurement artifact.
-        if (full.fitness_sum != incr.fitness_sum ||
-            full.fitness_sum != ref.fitness_sum ||
-            full.fitness_sum != batched.fitness_sum) {
-          std::fprintf(stderr,
-                       "eval_throughput: kernel mismatch at %zu threads "
-                       "(reference sum %.17g, full sum %.17g, incremental "
-                       "sum %.17g, batched sum %.17g)\n",
-                       t, ref.fitness_sum, full.fitness_sum,
-                       incr.fitness_sum, batched.fitness_sum);
+        const LaneRun plain = engine_run(instance, batches, t, false);
+        const LaneRun memo = engine_run(instance, batches, t, true);
+        if (!check_sum(plain, "engine", t) || !check_sum(memo, "+memo", t)) {
           return 1;
         }
-        if (t == 1) expected_sum = ref.fitness_sum;
-        ref_best = std::min(ref_best, ref.seconds);
-        full_best = std::min(full_best, full.seconds);
-        incr_best = std::min(incr_best, incr.seconds);
-        batch_best = std::min(batch_best, batched.seconds);
+        engine_best = std::min(engine_best, plain.seconds);
+        memo_best = std::min(memo_best, memo.seconds);
       }
-      const double speedup_vs_full = full_best / incr_best;
-      const double speedup_vs_ref = ref_best / incr_best;
-      const double batched_vs_incr = incr_best / batch_best;
-      if (t == 1) {
-        speedup_vs_full_1t = speedup_vs_full;
-        speedup_vs_ref_1t = speedup_vs_ref;
-        batched_vs_incr_1t = batched_vs_incr;
-        incr_1t_seconds = incr_best;
-        full_1t_seconds = full_best;
-      }
+      if (t == 1) engine_1t_seconds = engine_best;
       table.push_back({std::to_string(t),
-                       strfmt("%.0f", total / legacy_best),
                        strfmt("%.0f", total / engine_best),
-                       strfmt("%.2fx", legacy_best / engine_best),
-                       strfmt("%.0f", total / memo_best),
-                       strfmt("%.0f", total / ref_best),
-                       strfmt("%.0f", total / full_best),
-                       strfmt("%.0f", total / incr_best),
-                       strfmt("%.0f", total / batch_best),
-                       strfmt("%.2fx", speedup_vs_full),
-                       strfmt("%.2fx", speedup_vs_ref),
-                       strfmt("%.2fx", batched_vs_incr)});
+                       strfmt("%.0f", total / memo_best)});
       JsonObject row;
       row.emplace("threads", Json(static_cast<double>(t)));
-      row.emplace("legacy_evps", Json(total / legacy_best));
       row.emplace("engine_evps", Json(total / engine_best));
       row.emplace("engine_memo_evps", Json(total / memo_best));
-      row.emplace("replay_reference_evps", Json(total / ref_best));
-      row.emplace("replay_full_evps", Json(total / full_best));
-      row.emplace("replay_incremental_evps", Json(total / incr_best));
-      row.emplace("replay_batched_evps", Json(total / batch_best));
-      row.emplace("incremental_speedup_vs_full", Json(speedup_vs_full));
-      row.emplace("incremental_speedup_vs_reference", Json(speedup_vs_ref));
-      row.emplace("batched_speedup_vs_incremental", Json(batched_vs_incr));
-      row.emplace("batched_speedup_vs_full",
-                  Json(full_best / batch_best));
-      row.emplace("batched_speedup_vs_reference",
-                  Json(ref_best / batch_best));
       rows.push_back(Json(std::move(row)));
     }
     std::fputs(render_table(table).c_str(), stdout);
-    std::puts("# speedup = legacy seconds / engine seconds; vs full / vs "
-              "ref = replay incremental throughput over the engine's full "
-              "pass and over the legacy ReferenceMapper path; b vs i = the "
-              "batched sibling-lockstep lane over the incremental lane "
-              "(same batches, same thread count).");
 
-    // Sibling-batch chunk-size sweep, 1 thread: how much of the batched
-    // lane's win survives when sessions are capped at k siblings.
-    JsonArray sweep_rows;
-    if (batch_sizes.size() > 1 ||
-        (batch_sizes.size() == 1 && batch_sizes[0] != 0)) {
-      std::vector<std::vector<std::string>> sweep_table;
-      sweep_table.push_back({"sibling_batch", "replay batch ev/s",
-                             "vs incr @1t"});
-      for (const std::size_t k : batch_sizes) {
-        double best = std::numeric_limits<double>::infinity();
-        for (std::size_t r = 0; r < reps; ++r) {
-          const ReplayRun b = replay_seconds(instance, parents, replay, 1,
-                                             KernelMode::Batched, k);
-          if (b.fitness_sum != expected_sum) {
-            std::fprintf(stderr,
-                         "eval_throughput: batched sweep mismatch at "
-                         "sibling_batch=%zu (sum %.17g, want %.17g)\n",
-                         k, b.fitness_sum, expected_sum);
-            return 1;
-          }
-          best = std::min(best, b.seconds);
-        }
-        const double evps = total / best;
-        const double vs_incr = incr_1t_seconds / best;
-        sweep_table.push_back({k == 0 ? "unbounded" : std::to_string(k),
-                               strfmt("%.0f", evps),
-                               strfmt("%.2fx", vs_incr)});
-        JsonObject row;
-        row.emplace("sibling_batch", Json(static_cast<double>(k)));
-        row.emplace("replay_batched_evps", Json(evps));
-        row.emplace("batched_speedup_vs_incremental", Json(vs_incr));
-        sweep_rows.push_back(Json(std::move(row)));
-      }
-      std::fputs(render_table(sweep_table).c_str(), stdout);
-      std::puts("# sibling_batch sweep at 1 thread (unbounded = whole "
-                "sibling group per session).");
-    }
-
-    // Heterogeneous lane, 1 thread: the SAME replay pools reinterpreted
-    // as processor mappings (genes are in [1, P] either way) on the
+    // Heterogeneous lane, 1 thread: the SAME batches reinterpreted as
+    // processor mappings (genes are in [1, P] either way) on the
     // uniform-speed structurally-heterogeneous twin of the platform, so
-    // the per-eval cost delta isolates the heterogeneous kernel
-    // machinery (P one-processor lanes, per-processor table, comm
-    // context) from any workload change.
+    // the per-eval cost ratio isolates the heterogeneous kernel machinery
+    // (P one-processor lanes, per-processor table, comm context) from any
+    // workload change.
     const Cluster hetero_cluster = degenerate_hetero_variant(cluster);
     const auto hetero_instance =
         ProblemInstance::borrow(g, model, hetero_cluster);
-    double h_ref_best = std::numeric_limits<double>::infinity();
-    double h_full_best = std::numeric_limits<double>::infinity();
-    double h_incr_best = std::numeric_limits<double>::infinity();
-    double h_batch_best = std::numeric_limits<double>::infinity();
+    double hetero_best = std::numeric_limits<double>::infinity();
     for (std::size_t r = 0; r < reps; ++r) {
-      const ReplayRun ref = replay_reference_seconds(hetero_instance,
-                                                     replay, 1);
-      const ReplayRun full = replay_seconds(hetero_instance, parents,
-                                            replay, 1, KernelMode::Full);
-      const ReplayRun incr = replay_seconds(hetero_instance, parents,
-                                            replay, 1,
-                                            KernelMode::Incremental);
-      const ReplayRun batched = replay_seconds(hetero_instance, parents,
-                                               replay, 1,
-                                               KernelMode::Batched);
-      if (full.fitness_sum != incr.fitness_sum ||
-          full.fitness_sum != ref.fitness_sum ||
-          full.fitness_sum != batched.fitness_sum) {
-        std::fprintf(stderr,
-                     "eval_throughput: heterogeneous kernel mismatch "
-                     "(reference sum %.17g, full sum %.17g, incremental "
-                     "sum %.17g, batched sum %.17g)\n",
-                     ref.fitness_sum, full.fitness_sum, incr.fitness_sum,
-                     batched.fitness_sum);
-        return 1;
-      }
-      h_ref_best = std::min(h_ref_best, ref.seconds);
-      h_full_best = std::min(h_full_best, full.seconds);
-      h_incr_best = std::min(h_incr_best, incr.seconds);
-      h_batch_best = std::min(h_batch_best, batched.seconds);
+      hetero_best = std::min(
+          hetero_best, engine_run(hetero_instance, batches, 1, false).seconds);
     }
-    const double hetero_overhead = h_full_best / full_1t_seconds;
+    const double hetero_overhead = hetero_best / engine_1t_seconds;
     std::vector<std::vector<std::string>> hetero_table;
-    hetero_table.push_back({"lane", "hetero ref ev/s", "hetero full ev/s",
-                            "hetero incr ev/s", "hetero batch ev/s",
-                            "full overhead"});
-    hetero_table.push_back({"1 thread",
-                            strfmt("%.0f", total / h_ref_best),
-                            strfmt("%.0f", total / h_full_best),
-                            strfmt("%.0f", total / h_incr_best),
-                            strfmt("%.0f", total / h_batch_best),
+    hetero_table.push_back({"lane", "hetero engine ev/s", "overhead"});
+    hetero_table.push_back({"1 thread", strfmt("%.0f", total / hetero_best),
                             strfmt("%.2fx", hetero_overhead)});
     std::fputs(render_table(hetero_table).c_str(), stdout);
-    std::puts("# heterogeneous lanes on the uniform-speed structural-"
-              "hetero twin; full overhead = hetero full seconds / "
-              "homogeneous full seconds at 1 thread.");
+    std::puts("# heterogeneous engine lane on the uniform-speed structural-"
+              "hetero twin; overhead = hetero seconds / homogeneous "
+              "seconds at 1 thread.");
     JsonObject hetero_row;
-    hetero_row.emplace("hetero_reference_evps", Json(total / h_ref_best));
-    hetero_row.emplace("hetero_full_evps", Json(total / h_full_best));
-    hetero_row.emplace("hetero_incremental_evps",
-                       Json(total / h_incr_best));
-    hetero_row.emplace("hetero_batched_evps", Json(total / h_batch_best));
-    hetero_row.emplace("hetero_overhead_vs_full", Json(hetero_overhead));
-    hetero_row.emplace("hetero_incremental_speedup_vs_full",
-                       Json(h_full_best / h_incr_best));
-    hetero_row.emplace("hetero_batched_speedup_vs_incremental",
-                       Json(h_incr_best / h_batch_best));
+    hetero_row.emplace("hetero_engine_evps", Json(total / hetero_best));
+    hetero_row.emplace("hetero_overhead", Json(hetero_overhead));
 
     // HEFT/PEFT baseline makespans on a genuinely heterogeneous variant
     // (cycled speeds, uniform link costs): the reference points the
@@ -524,7 +223,6 @@ int main(int argc, char** argv) {
       doc.emplace("bench", Json("eval_throughput"));
       JsonObject config;
       config.emplace("tasks", Json(static_cast<double>(tasks)));
-      config.emplace("mu", Json(static_cast<double>(mu)));
       config.emplace("lambda", Json(static_cast<double>(lambda)));
       config.emplace("batches", Json(static_cast<double>(batches_n)));
       config.emplace("reps", Json(static_cast<double>(reps)));
@@ -532,35 +230,16 @@ int main(int argc, char** argv) {
       config.emplace("cluster", Json(cluster.name()));
       doc.emplace("config", Json(std::move(config)));
       doc.emplace("rows", Json(std::move(rows)));
-      if (!sweep_rows.empty()) {
-        doc.emplace("batch_sweep", Json(std::move(sweep_rows)));
-      }
       doc.emplace("hetero", Json(std::move(hetero_row)));
       doc.emplace("hetero_baselines", Json(std::move(baseline_row)));
       Json(std::move(doc)).write_file(json_path);
       std::printf("# wrote %s\n", json_path.c_str());
     }
 
-    if (min_speedup > 0.0 && speedup_vs_full_1t < min_speedup) {
-      std::fprintf(stderr,
-                   "eval_throughput: 1-thread incremental speedup %.2fx "
-                   "over the full pass is below the required %.2fx "
-                   "(vs reference: %.2fx)\n",
-                   speedup_vs_full_1t, min_speedup, speedup_vs_ref_1t);
-      return 1;
-    }
-    if (min_batched_speedup > 0.0 &&
-        batched_vs_incr_1t < min_batched_speedup) {
-      std::fprintf(stderr,
-                   "eval_throughput: 1-thread batched speedup %.2fx over "
-                   "the incremental lane is below the required %.2fx\n",
-                   batched_vs_incr_1t, min_batched_speedup);
-      return 1;
-    }
     if (max_hetero_overhead > 0.0 && hetero_overhead > max_hetero_overhead) {
       std::fprintf(stderr,
-                   "eval_throughput: heterogeneous full lane costs %.2fx "
-                   "the homogeneous full lane per evaluation, above the "
+                   "eval_throughput: heterogeneous engine lane costs %.2fx "
+                   "the homogeneous engine lane per evaluation, above the "
                    "allowed %.2fx\n",
                    hetero_overhead, max_hetero_overhead);
       return 1;

@@ -100,13 +100,6 @@ class ProblemInstance
   [[nodiscard]] std::span<const TaskId> topo_order() const noexcept {
     return topo_;
   }
-  /// Position of each task in topo_order(): topo_order()[topo_position(v)]
-  /// == v. The mapping kernel's bottom-level patching orders its worklist
-  /// by this.
-  [[nodiscard]] std::span<const std::uint32_t> topo_positions()
-      const noexcept {
-    return topo_pos_;
-  }
 
   // Dense CSR adjacency (built eagerly; O(V + E)). The mapping kernel
   // iterates successors once per fitness evaluation, so the edges live in
@@ -194,7 +187,6 @@ class ProblemInstance
   int p_ = 0;
 
   std::vector<TaskId> topo_;
-  std::vector<std::uint32_t> topo_pos_;
   std::vector<int> levels_;
   int num_levels_ = 0;
   std::vector<std::vector<TaskId>> by_level_;

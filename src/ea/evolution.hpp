@@ -34,9 +34,9 @@ struct Individual {
   Allocation genes;
   double fitness = std::numeric_limits<double>::infinity();
   std::string origin;  ///< Which seed/operator produced it (for analysis).
-  /// Lineage for incremental evaluation: index (within the pool handed to
-  /// BatchEvaluator::evaluate_batch) of the already-evaluated parent this
-  /// individual was mutated from, or kNoParent. Only offspring under plus
+  /// Lineage: index (within the pool handed to BatchEvaluator::
+  /// evaluate_batch) of the already-evaluated parent this individual was
+  /// mutated from, or kNoParent. Only offspring under plus
   /// selection carry lineage — their parents sit in the same pool at
   /// indices below `begin` — and it is cleared again right after each
   /// selection, so stale indices never leak into the next generation.
@@ -59,11 +59,10 @@ using MutateFn = std::function<Allocation(const Allocation& parent,
 
 /// Mutation that additionally reports the gene positions it assigned into
 /// `touched` (cleared by the caller; a superset of the actually-changed
-/// positions is fine). Lineage-aware evaluators (the EvaluationEngine's
-/// incremental kernel) use the report to evaluate the child as a delta
-/// against its parent instead of from scratch. A tracked mutator MUST
-/// consume the same RNG draws as its plain counterpart so switching
-/// tracking on or off never changes the evolution trajectory.
+/// positions is fine), which spares the ES the gene diff it otherwise runs
+/// to fill the lineage fields. A tracked mutator MUST consume the same RNG
+/// draws as its plain counterpart so switching tracking on or off never
+/// changes the evolution trajectory.
 using TrackedMutateFn = std::function<Allocation(
     const Allocation& parent, std::size_t generation, Rng& rng,
     std::vector<TaskId>& touched)>;
@@ -198,10 +197,10 @@ class EvolutionStrategy {
 
   /// Replace the mutation operator with a tracked one that reports the
   /// gene positions it assigned (see TrackedMutateFn). With a tracked
-  /// mutator, offspring carry parent/touched lineage so a lineage-aware
-  /// evaluator can evaluate them incrementally. A setter rather than a
-  /// constructor overload: lambdas convert to both std::function types,
-  /// which would make the constructors ambiguous.
+  /// mutator the ES fills the offspring's touched lineage from the report
+  /// instead of diffing genes. A setter rather than a constructor
+  /// overload: lambdas convert to both std::function types, which would
+  /// make the constructors ambiguous.
   void set_tracked_mutator(TrackedMutateFn mutate);
 
   /// Run the ES. `seeds` are starting genomes (may be empty only if

@@ -95,9 +95,6 @@ EvalStats stats_delta(const EvalStats& now, const EvalStats& before) {
   d.cache_misses = now.cache_misses - before.cache_misses;
   d.cache_skipped = now.cache_skipped - before.cache_skipped;
   d.rejections = now.rejections - before.rejections;
-  d.trace_builds = now.trace_builds - before.trace_builds;
-  d.delta_scheduled = now.delta_scheduled - before.delta_scheduled;
-  d.sibling_batches = now.sibling_batches - before.sibling_batches;
   d.batches = now.batches - before.batches;
   d.eval_seconds = now.eval_seconds - before.eval_seconds;
   return d;
@@ -172,9 +169,9 @@ EmtsResult Emts::schedule(EvaluationEngine& engine) const {
   EvolutionStrategy es(es_cfg, engine,
                        make_mutator(config_.mutation, config_.fm,
                                     config_.generations, num_processors));
-  // The tracked operator gives offspring their parent/touched lineage, so
-  // the engine's incremental kernel can evaluate them as deltas. Identical
-  // RNG consumption, identical trajectory.
+  // The tracked operator reports the genes it assigned, sparing the ES the
+  // per-child gene diff it otherwise runs to fill the lineage fields.
+  // Identical RNG consumption, identical trajectory.
   es.set_tracked_mutator(make_tracked_mutator(
       config_.mutation, config_.fm, config_.generations, num_processors));
   result.es = es.run(seeds);

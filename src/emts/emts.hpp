@@ -58,10 +58,8 @@ struct EmtsConfig {
   /// rejection — only cheaper. On by default; ignored under comma
   /// selection, where every survivor is an offspring.
   bool use_rejection = true;
-  /// Which mapping kernel the evaluation engine runs offspring through
-  /// (full passes, incremental delta passes, or batched sibling lockstep;
-  /// bit-identical in every mode). Unset: resolved from the
-  /// PTGSCHED_KERNEL environment variable, Full when that is unset — see
+  /// Which mapping kernel the evaluation engine runs offspring through:
+  /// unset or KernelMode::Full, the only supported mode — see
   /// EvalEngineConfig::kernel.
   std::optional<KernelMode> kernel;
   /// Memoize exact makespans per allocation in the evaluation engine.
@@ -123,7 +121,7 @@ class Emts {
   /// eval/engine_pool.hpp) evaluation engine instead of building one.
   /// The run binds the engine's cancellation token to config().cancel,
   /// applies config().use_rejection, clears the engine's incumbent, and
-  /// uses the engine's mapping policy, kernel and memo cache as-is; memo hits
+  /// uses the engine's mapping policy and memo cache as-is; memo hits
   /// return exact values, so a warm engine yields results bit-identical
   /// to a cold one. EmtsResult::eval_stats covers this run only. The
   /// engine must be quiescent (one run per engine at a time).
@@ -141,9 +139,8 @@ class Emts {
 
   /// Tracked twin of make_mutator: same operator, same RNG draw sequence
   /// (both delegate to mutate_allocation), additionally reporting the
-  /// assigned gene positions so the evaluation engine can run offspring
-  /// through the incremental kernel. Swapping one for the other never
-  /// changes the evolution trajectory.
+  /// assigned gene positions (the ES lineage fields). Swapping one for the
+  /// other never changes the evolution trajectory.
   [[nodiscard]] static TrackedMutateFn make_tracked_mutator(
       MutationParams params, double fm, std::size_t generations, int P);
 

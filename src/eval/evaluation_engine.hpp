@@ -2,7 +2,7 @@
 // EvaluationEngine — the parallel fitness-evaluation layer of EMTS.
 //
 // The paper's entire optimization cost sits in the mapping step: every
-// fitness evaluation is a full list-scheduling pass, and EMTS-10 runs
+// fitness evaluation is one full list-scheduling pass, and EMTS-10 runs
 // lambda = 100 of them per generation (Section III-A, Section V). The
 // engine owns everything that hot path needs and keeps it alive for the
 // whole optimization:
@@ -32,7 +32,7 @@
 // with +infinity: the child's exact makespan then exceeds that of at
 // least `begin` pool entries, so it can never be selected. Survivors, and
 // therefore the whole evolution trajectory, are the same as without
-// rejection in every kernel mode.
+// rejection.
 //
 // Determinism: the fitness assigned to an individual is a pure function of
 // its allocation and the bound of its wave, and a wave's bound depends only
@@ -50,7 +50,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -61,26 +60,13 @@
 
 namespace ptgsched {
 
-/// Which mapping pass the engine's batch path runs.
+/// Which mapping pass the engine's batch path runs. Only Full exists:
+/// every evaluation is one complete list-scheduling pass. The other two
+/// names survive only because perfbench/ still spells them; the engine
+/// constructor rejects them with std::invalid_argument.
 enum class KernelMode {
-  /// Every evaluation is a complete list-scheduling pass (the legacy
-  /// behavior; also the oracle the incremental mode is tested against).
   Full,
-  /// Offspring carrying parent/touched lineage (see Individual) are
-  /// evaluated incrementally: the engine builds one EvalTrace per unique
-  /// in-pool parent, then resumes each child's pass from the last safe
-  /// snapshot before its first divergent decision
-  /// (ListScheduler::makespan_delta). Fitness values, rejection counts and
-  /// therefore the whole evolution trajectory are bit-identical to Full.
   Incremental,
-  /// Incremental plus sibling lockstep batching: children are grouped by
-  /// traced parent and each group runs in one kernel batch session
-  /// (ListScheduler::begin_sibling_batch / makespan_sibling) — the
-  /// parent's bottom levels and times are loaded once per group, each
-  /// sibling stages only its changed genes, and fully certified siblings
-  /// replay the parent's pop order heap-free (see mapping_kernel.hpp).
-  /// Fitness values and rejection counts stay bit-identical to both other
-  /// modes; only throughput changes.
   Batched,
 };
 
@@ -100,18 +86,8 @@ struct EvalEngineConfig {
   /// Maximum number of cached allocations (inserts stop when full; an
   /// EMTS-10 run performs ~1e3 evaluations, far below the default).
   std::size_t memo_capacity = 1 << 16;
-  /// Batch evaluation kernel. Unset (the default): resolved once at
-  /// construction from the PTGSCHED_KERNEL environment variable — "full",
-  /// "incremental" or "batched", any other value throws — defaulting to
-  /// Full when the variable is absent or empty. The env switch
-  /// exists so whole experiment campaigns and benches can be flipped
-  /// between kernels without touching configuration code.
+  /// Batch evaluation kernel: unset or KernelMode::Full (see KernelMode).
   std::optional<KernelMode> kernel;
-  /// Batched mode only: cap on the number of siblings one kernel batch
-  /// session serves before the session is re-opened (0 = one session per
-  /// sibling group, however large). Exists for the bench batch-size sweep;
-  /// fitness values are identical for every value.
-  std::size_t sibling_batch = 0;
   /// Cooperative cancellation (not owned; must outlive the engine). Once
   /// the token trips, batch evaluations short-circuit to +infinity (never
   /// cached) so an in-flight generation drains the thread pool in
@@ -135,10 +111,8 @@ struct EvalStats {
   /// memoize.
   std::size_t cache_skipped = 0;
   std::size_t rejections = 0;    ///< Bounded passes that bailed out early.
-  std::size_t trace_builds = 0;  ///< Parent traces built (full passes not
-                                 ///< counted in `scheduled`).
-  std::size_t delta_scheduled = 0;  ///< Of `scheduled`: incremental passes.
-  std::size_t sibling_batches = 0;  ///< Kernel batch sessions opened.
+  std::size_t trace_builds = 0;     ///< Always 0 (Full kernel only).
+  std::size_t delta_scheduled = 0;  ///< Always 0 (Full kernel only).
   std::size_t batches = 0;       ///< evaluate_batch() calls.
   double eval_seconds = 0.0;     ///< Wall seconds inside evaluate_batch().
 
@@ -226,10 +200,9 @@ class EvaluationEngine final : public BatchEvaluator {
   [[nodiscard]] const EvalEngineConfig& config() const noexcept {
     return config_;
   }
-  /// The kernel mode resolved at construction (config override or the
-  /// PTGSCHED_KERNEL environment variable).
+  /// The batch kernel: always KernelMode::Full.
   [[nodiscard]] KernelMode kernel_mode() const noexcept {
-    return kernel_mode_;
+    return KernelMode::Full;
   }
   /// The shared problem core all slots evaluate against.
   [[nodiscard]] const std::shared_ptr<const ProblemInstance>& instance()
@@ -254,9 +227,6 @@ class EvaluationEngine final : public BatchEvaluator {
     std::atomic<std::size_t> cache_hits{0};
     std::atomic<std::size_t> cache_misses{0};
     std::atomic<std::size_t> cache_skipped{0};
-    std::atomic<std::size_t> trace_builds{0};
-    std::atomic<std::size_t> delta_scheduled{0};
-    std::atomic<std::size_t> sibling_batches{0};
   };
 
   /// Cold-cache probe sampler, one per slot. Plain (non-atomic) state:
@@ -294,40 +264,17 @@ class EvaluationEngine final : public BatchEvaluator {
 
   /// Fitness of one allocation on `slot` under `bound` (the memo- and
   /// rejection-aware hot path). With honor_cancel, a tripped cancellation
-  /// token short-circuits to +infinity before the scheduling pass. When
-  /// `trace` is non-null (Incremental mode, lineage available) and the
-  /// memo does not hit, the pass runs incrementally against the parent's
-  /// trace; `touched` then lists the gene positions the mutation assigned.
+  /// token short-circuits to +infinity before the scheduling pass.
   double fitness_for(const Allocation& alloc, std::size_t slot, double bound,
-                     bool honor_cancel, const EvalTrace* trace = nullptr,
-                     std::span<const TaskId> touched = {});
-
-  /// Phase 1 of an Incremental-mode batch: build one EvalTrace per unique
-  /// parent referenced by pool[begin..) lineage (parents live below
-  /// `begin`), in parallel across slots. Invalid/failed builds simply
-  /// leave trace slots invalid; the affected children fall back to full
-  /// passes.
-  void build_parent_traces(const std::vector<Individual>& pool,
-                           std::size_t begin);
+                     bool honor_cancel);
 
   /// Children per rejection wave: each wave is bounded by the parents and
   /// the earlier waves only, so the bound never depends on scheduling.
   static constexpr std::size_t kRejectionWave = 8;
 
-  /// Phase 2 of a Full/Incremental batch over the children pool[lo..hi):
-  /// each against its parent's trace when one was built, as a full pass
-  /// otherwise.
-  void evaluate_children(std::vector<Individual>& pool, std::size_t begin,
-                         std::size_t lo, std::size_t hi, double bound);
-
-  /// The sibling-group phase 2 of a Batched-mode batch over the children
-  /// pool[lo..hi): order them by traced parent, carve contiguous groups
-  /// (chunked by config.sibling_batch), and run each group in one kernel
-  /// batch session on one slot. Children without a usable trace run
-  /// through the plain fitness_for path.
-  void evaluate_sibling_groups(std::vector<Individual>& pool,
-                               std::size_t begin, std::size_t lo,
-                               std::size_t hi, double bound);
+  /// Evaluate the children pool[lo..hi) under `bound`, across the slots.
+  void evaluate_children(std::vector<Individual>& pool, std::size_t lo,
+                         std::size_t hi, double bound);
 
   /// Offer an exact fitness to the running bound: best_ keeps the
   /// best_capacity_ lowest finite values as a max-heap. Rejected and
@@ -341,25 +288,6 @@ class EvaluationEngine final : public BatchEvaluator {
                : std::numeric_limits<double>::infinity();
   }
 
-  /// One child of an open sibling-batch session on `slot` (the session
-  /// must be bound to `trace`): same memo / cancel / stats behavior as
-  /// fitness_for, but the scheduling pass is makespan_sibling.
-  double sibling_fitness(const Allocation& alloc,
-                         std::span<const TaskId> touched,
-                         const EvalTrace& trace, std::size_t slot,
-                         double bound);
-
-  /// The parent trace a child may be evaluated against (null in Full
-  /// mode, for loose children, and when the build failed or was skipped).
-  [[nodiscard]] const EvalTrace* trace_of(const Individual& child,
-                                          std::size_t begin) const {
-    if (kernel_mode_ == KernelMode::Full) return nullptr;
-    const std::size_t p = child.parent;
-    if (p >= begin || trace_epoch_[p] != batch_epoch_) return nullptr;
-    const EvalTrace& trace = traces_[p];
-    return trace.valid ? &trace : nullptr;
-  }
-
   /// Memoization lookup with the cold-cache sampler (call only under
   /// config.memoize). Maintains the slot's windowed hit-rate estimate and
   /// the hit/miss/skipped counters.
@@ -370,7 +298,6 @@ class EvaluationEngine final : public BatchEvaluator {
   void cache_insert(std::uint64_t key, const Allocation& alloc, double value);
 
   EvalEngineConfig config_;
-  KernelMode kernel_mode_ = KernelMode::Full;
   std::shared_ptr<const ProblemInstance> instance_;
   std::vector<std::unique_ptr<ListScheduler>> slots_;
   ThreadPool pool_;
@@ -379,33 +306,6 @@ class EvaluationEngine final : public BatchEvaluator {
   /// Running-bound scratch of the current batch (see offer_to_bound).
   std::vector<double> best_;
   std::size_t best_capacity_ = 0;
-
-  /// Parent traces, indexed like the pool's parent indices. traces_[p] is
-  /// meaningful only when trace_epoch_[p] == batch_epoch_ (built for the
-  /// current batch); buffers are reused across generations so steady-state
-  /// trace building does not allocate. Traces are portable across slots:
-  /// built on whichever slot the pool hands the build, read by every slot
-  /// evaluating a child of that parent.
-  std::vector<EvalTrace> traces_;
-  std::vector<std::uint64_t> trace_epoch_;
-  std::uint64_t batch_epoch_ = 0;
-  std::vector<std::size_t> trace_parents_;  ///< Unique parents this batch.
-
-  /// Batched-mode scratch: child indices (relative to the wave) ordered by
-  /// parent, and the contiguous [lo, hi) sibling groups carved out of
-  /// that order. parent == kLooseGroup marks a no-trace child evaluated
-  /// through the plain path.
-  static constexpr std::size_t kLooseGroup =
-      std::numeric_limits<std::size_t>::max();
-  struct SiblingGroup {
-    std::size_t parent = 0;
-    std::uint32_t lo = 0;
-    std::uint32_t hi = 0;
-  };
-  std::vector<std::uint32_t> group_order_;
-  std::vector<std::size_t> group_keys_;    ///< Per-child parent key scratch.
-  std::vector<std::uint32_t> group_bins_;  ///< Counting-sort offsets scratch.
-  std::vector<SiblingGroup> sibling_groups_;
 
   static constexpr std::size_t kCacheShards = 16;
   std::vector<CacheShard> cache_shards_;

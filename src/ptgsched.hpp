@@ -50,7 +50,6 @@
 #include "sched/list_scheduler.hpp"
 #include "sched/lower_bounds.hpp"
 #include "sched/mapping_kernel.hpp"
-#include "sched/reference_mapper.hpp"
 #include "sched/multi_cluster_scheduler.hpp"
 #include "sched/schedule.hpp"
 #include "sched/validate.hpp"

@@ -1,4 +1,4 @@
-#include "sched/reference_mapper.hpp"
+#include "reference_mapper.hpp"
 
 #include <algorithm>
 #include <stdexcept>

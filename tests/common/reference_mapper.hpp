@@ -7,11 +7,9 @@
 // adjacency, a std::push_heap/pop_heap binary ready heap of task ids with
 // indirect bottom-level comparisons, and per-lane availability as an
 // unsorted array updated with O(P) nth_element selection. Nothing here is
-// tuned; its only jobs are (a) golden tests — MappingKernel must produce
-// bit-identical makespans, schedules and rejection counts on every input —
-// and (b) the "before" lane of bench/eval_throughput, so recorded
-// speedups are against the real prior implementation rather than a
-// re-derived approximation of it.
+// tuned; its only job is the golden tests: MappingKernel must produce
+// bit-identical makespans, schedules and rejection counts on every input.
+// It lives with the tests and is not part of the installed library.
 //
 // Deliberately NOT a drop-in ListScheduler replacement: it only does
 // single-lane value/placement passes (the multi-cluster path has its own

@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
+#include <vector>
+
+#include "emts/emts.hpp"
 
 namespace ptgsched {
 namespace {
@@ -185,6 +189,37 @@ TEST(AllocationDelta, AsymmetricSigmas) {
     }
   }
   EXPECT_LT(shrink_mag / shrinks, stretch_mag / stretches);
+}
+
+TEST(Mutator, TrackedMutatorDrawsIdenticalChildren) {
+  MutationParams params;
+  const double fm = 0.33;
+  const std::size_t generations = 10;
+  const int P = 16;
+  const MutateFn plain = Emts::make_mutator(params, fm, generations, P);
+  const TrackedMutateFn tracked =
+      Emts::make_tracked_mutator(params, fm, generations, P);
+  Rng rng_a(5150);
+  Rng rng_b(5150);
+  Allocation parent(60, 4);
+  for (std::size_t u = 0; u < generations; ++u) {
+    const Allocation a = plain(parent, u, rng_a);
+    std::vector<TaskId> touched;
+    const Allocation b = tracked(parent, u, rng_b, touched);
+    // Same RNG stream, same child — swapping the operators can never
+    // change the evolution trajectory.
+    ASSERT_EQ(a, b);
+    EXPECT_FALSE(touched.empty());
+    // `touched` covers every gene that differs from the parent.
+    for (std::size_t v = 0; v < parent.size(); ++v) {
+      if (b[v] != parent[v]) {
+        EXPECT_NE(std::find(touched.begin(), touched.end(),
+                            static_cast<TaskId>(v)),
+                  touched.end());
+      }
+    }
+    parent = b;
+  }
 }
 
 }  // namespace

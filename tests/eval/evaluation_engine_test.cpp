@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <limits>
+#include <stdexcept>
 
 #include "daggen/corpus.hpp"
 #include "model/execution_time.hpp"
@@ -331,6 +332,23 @@ TEST(EvaluationEngine, BuildScheduleMatchesFitness) {
   const Allocation alloc = random_allocation(g, c, rng);
   const double m = engine.evaluate_one(alloc);
   EXPECT_DOUBLE_EQ(engine.build_schedule(alloc).makespan(), m);
+}
+
+TEST(EvaluationEngine, RunsOnlyTheFullKernel) {
+  const Ptg g = irregular_corpus(20, 1, 111).front();
+  const Cluster c = chti();
+  const SyntheticModel model;
+  EXPECT_EQ(EvaluationEngine(g, model, c).kernel_mode(), KernelMode::Full);
+  EvalEngineConfig cfg;
+  cfg.kernel = KernelMode::Full;
+  EXPECT_EQ(EvaluationEngine(g, model, c, {}, cfg).kernel_mode(),
+            KernelMode::Full);
+  for (const KernelMode removed :
+       {KernelMode::Incremental, KernelMode::Batched}) {
+    cfg.kernel = removed;
+    EXPECT_THROW(EvaluationEngine(g, model, c, {}, cfg),
+                 std::invalid_argument);
+  }
 }
 
 }  // namespace

@@ -3,8 +3,8 @@
 // waves. These tests check that every rejection is sound (the child really
 // is beaten by `begin` pool entries), that the running bound rejects more
 // than the frozen worst-parent incumbent, that EMTS trajectories are
-// identical with rejection off and on in every kernel mode, thread count
-// and memo setting, that rejection counts do not depend on thread count,
+// identical with rejection off and on in every thread count and memo
+// setting, that rejection counts do not depend on thread count,
 // and that pooled engines follow each run's rejection setting.
 
 #include <gtest/gtest.h>
@@ -26,18 +26,6 @@
 namespace ptgsched {
 namespace {
 
-constexpr KernelMode kModes[] = {KernelMode::Full, KernelMode::Incremental,
-                                 KernelMode::Batched};
-
-const char* mode_name(KernelMode m) {
-  switch (m) {
-    case KernelMode::Full: return "full";
-    case KernelMode::Incremental: return "incremental";
-    case KernelMode::Batched: return "batched";
-  }
-  return "?";
-}
-
 Allocation random_allocation(std::size_t n, int P, Rng& rng) {
   Allocation alloc(n);
   for (auto& s : alloc) s = static_cast<int>(rng.uniform_int(1, P));
@@ -45,9 +33,8 @@ Allocation random_allocation(std::size_t n, int P, Rng& rng) {
 }
 
 /// `begin` random parents with exact fitness, followed by `lambda`
-/// mutants carrying parent/touched lineage (so every kernel mode runs its
-/// own path). Random parents are poor, so good children keep lowering the
-/// running bound below the worst parent.
+/// mutants carrying parent/touched lineage. Random parents are poor, so
+/// good children keep lowering the running bound below the worst parent.
 std::vector<Individual> make_pool(const ProblemInstance& pi,
                                   std::size_t begin, std::size_t lambda,
                                   Rng& rng) {
@@ -73,10 +60,9 @@ std::vector<Individual> make_pool(const ProblemInstance& pi,
   return pool;
 }
 
-EvalEngineConfig bounded_config(KernelMode mode, std::size_t threads) {
+EvalEngineConfig bounded_config(std::size_t threads) {
   EvalEngineConfig cfg;
   cfg.use_rejection = true;
-  cfg.kernel = mode;
   cfg.threads = threads;
   return cfg;
 }
@@ -106,31 +92,28 @@ TEST(RunningBound, RejectsOnlyChildrenBeatenByBeginEntries) {
         if (exact_fitness[i] > worst_parent) ++frozen_rejections;
       }
 
-      for (const KernelMode mode : kModes) {
-        const std::string label = std::string(mode_name(mode)) +
-                                  " begin=" + std::to_string(begin);
-        EvaluationEngine engine(pi, {}, bounded_config(mode, 0));
-        engine.on_selection(0, 0.0, worst_parent);
-        std::vector<Individual> evaluated = pool;
-        engine.evaluate_batch(evaluated, begin);
-        std::size_t rejected = 0;
-        for (std::size_t i = begin; i < pool.size(); ++i) {
-          if (std::isfinite(evaluated[i].fitness)) {
-            EXPECT_EQ(evaluated[i].fitness, exact_fitness[i]) << label;
-            continue;
-          }
-          // Waves run in pool order, so the entries that bounded child i
-          // all sit before it: `begin` of them must beat it.
-          ++rejected;
-          std::size_t strictly_better = 0;
-          for (std::size_t j = 0; j < i; ++j) {
-            if (exact_fitness[j] < exact_fitness[i]) ++strictly_better;
-          }
-          EXPECT_GE(strictly_better, begin) << label << " child " << i;
+      const std::string label = "begin=" + std::to_string(begin);
+      EvaluationEngine engine(pi, {}, bounded_config(0));
+      engine.on_selection(0, 0.0, worst_parent);
+      std::vector<Individual> evaluated = pool;
+      engine.evaluate_batch(evaluated, begin);
+      std::size_t rejected = 0;
+      for (std::size_t i = begin; i < pool.size(); ++i) {
+        if (std::isfinite(evaluated[i].fitness)) {
+          EXPECT_EQ(evaluated[i].fitness, exact_fitness[i]) << label;
+          continue;
         }
-        EXPECT_EQ(engine.stats().rejections, rejected) << label;
-        if (mode == KernelMode::Full) running_rejections += rejected;
+        // Waves run in pool order, so the entries that bounded child i
+        // all sit before it: `begin` of them must beat it.
+        ++rejected;
+        std::size_t strictly_better = 0;
+        for (std::size_t j = 0; j < i; ++j) {
+          if (exact_fitness[j] < exact_fitness[i]) ++strictly_better;
+        }
+        EXPECT_GE(strictly_better, begin) << label << " child " << i;
       }
+      EXPECT_EQ(engine.stats().rejections, rejected) << label;
+      running_rejections += rejected;
     }
   }
   // The running bound tightens as children finish, so it must reject
@@ -138,7 +121,7 @@ TEST(RunningBound, RejectsOnlyChildrenBeatenByBeginEntries) {
   EXPECT_GT(running_rejections, frozen_rejections);
 }
 
-TEST(RunningBound, BatchIsIdenticalAcrossModesAndThreads) {
+TEST(RunningBound, BatchIsIdenticalAcrossThreads) {
   const Cluster c = grelon();
   const SyntheticModel model;
   const Ptg g = irregular_corpus(50, 1, 1202).front();
@@ -146,24 +129,21 @@ TEST(RunningBound, BatchIsIdenticalAcrossModesAndThreads) {
   Rng rng(5);
   const std::vector<Individual> pool = make_pool(*pi, 10, 100, rng);
 
-  EvaluationEngine reference(pi, {}, bounded_config(KernelMode::Full, 0));
+  EvaluationEngine reference(pi, {}, bounded_config(0));
   std::vector<Individual> want = pool;
   reference.evaluate_batch(want, 10);
   const std::size_t want_rejections = reference.stats().rejections;
   ASSERT_GT(want_rejections, 0u);
 
-  for (const KernelMode mode : kModes) {
-    for (const std::size_t threads : {0u, 2u, 8u}) {
-      const std::string label = std::string(mode_name(mode)) +
-                                " threads=" + std::to_string(threads);
-      EvaluationEngine engine(pi, {}, bounded_config(mode, threads));
-      std::vector<Individual> got = pool;
-      engine.evaluate_batch(got, 10);
-      for (std::size_t i = 10; i < pool.size(); ++i) {
-        EXPECT_EQ(got[i].fitness, want[i].fitness) << label << " child " << i;
-      }
-      EXPECT_EQ(engine.stats().rejections, want_rejections) << label;
+  for (const std::size_t threads : {0u, 2u, 8u}) {
+    const std::string label = "threads=" + std::to_string(threads);
+    EvaluationEngine engine(pi, {}, bounded_config(threads));
+    std::vector<Individual> got = pool;
+    engine.evaluate_batch(got, 10);
+    for (std::size_t i = 10; i < pool.size(); ++i) {
+      EXPECT_EQ(got[i].fitness, want[i].fitness) << label << " child " << i;
     }
+    EXPECT_EQ(engine.stats().rejections, want_rejections) << label;
   }
 }
 
@@ -180,7 +160,7 @@ TEST(RunningBound, InitialBatchIsNeverBounded) {
   for (auto& ind : pool) {
     ind.genes = random_allocation(g.num_tasks(), c.num_processors(), rng);
   }
-  EvaluationEngine engine(pi, {}, bounded_config(KernelMode::Full, 0));
+  EvaluationEngine engine(pi, {}, bounded_config(0));
   engine.evaluate_batch(pool, 0);
   for (const auto& ind : pool) {
     EXPECT_EQ(ind.fitness, exact.makespan(ind.genes));
@@ -190,11 +170,9 @@ TEST(RunningBound, InitialBatchIsNeverBounded) {
 
 // --- EMTS level -------------------------------------------------------------
 
-EmtsConfig emts_config(KernelMode mode, std::size_t threads, bool memoize,
-                       bool rejection) {
+EmtsConfig emts_config(std::size_t threads, bool memoize, bool rejection) {
   EmtsConfig cfg = emts10_config();
   cfg.seed = 17;
-  cfg.kernel = mode;
   cfg.threads = threads;
   cfg.memoize = memoize;
   cfg.use_rejection = rejection;
@@ -223,21 +201,18 @@ TEST(RunningBoundEmts, TrajectoryIsIdenticalWithRejectionOffAndOn) {
   const SyntheticModel model;
   for (const Ptg& g : irregular_corpus(40, 2, 1204)) {
     const auto pi = ProblemInstance::borrow(g, model, c);
-    for (const KernelMode mode : kModes) {
-      for (const std::size_t threads : {0u, 2u, 8u}) {
-        for (const bool memoize : {false, true}) {
-          const std::string label =
-              g.name() + " " + mode_name(mode) +
-              " threads=" + std::to_string(threads) +
-              " memoize=" + (memoize ? "on" : "off");
-          const EmtsResult off =
-              Emts(emts_config(mode, threads, memoize, false)).schedule(pi);
-          const EmtsResult on =
-              Emts(emts_config(mode, threads, memoize, true)).schedule(pi);
-          expect_same_run(off, on, label);
-          EXPECT_EQ(off.eval_stats.rejections, 0u) << label;
-          EXPECT_GT(on.eval_stats.rejections, 0u) << label;
-        }
+    for (const std::size_t threads : {0u, 2u, 8u}) {
+      for (const bool memoize : {false, true}) {
+        const std::string label = g.name() +
+                                  " threads=" + std::to_string(threads) +
+                                  " memoize=" + (memoize ? "on" : "off");
+        const EmtsResult off =
+            Emts(emts_config(threads, memoize, false)).schedule(pi);
+        const EmtsResult on =
+            Emts(emts_config(threads, memoize, true)).schedule(pi);
+        expect_same_run(off, on, label);
+        EXPECT_EQ(off.eval_stats.rejections, 0u) << label;
+        EXPECT_GT(on.eval_stats.rejections, 0u) << label;
       }
     }
   }
@@ -250,23 +225,19 @@ TEST(RunningBoundEmts, RejectionCountsIgnoreThreadsAndReruns) {
   const SyntheticModel model;
   const Ptg g = irregular_corpus(60, 1, 1205).front();
   const auto pi = ProblemInstance::borrow(g, model, c);
-  for (const KernelMode mode : kModes) {
-    const EmtsResult serial =
-        Emts(emts_config(mode, 0, false, true)).schedule(pi);
-    ASSERT_GT(serial.eval_stats.rejections, 0u);
-    for (const std::size_t threads : {0u, 2u, 8u}) {
-      for (int rerun = 0; rerun < 2; ++rerun) {
-        const std::string label = std::string(mode_name(mode)) +
-                                  " threads=" + std::to_string(threads) +
-                                  " rerun=" + std::to_string(rerun);
-        const EmtsResult r =
-            Emts(emts_config(mode, threads, false, true)).schedule(pi);
-        expect_same_run(serial, r, label);
-        EXPECT_EQ(r.eval_stats.rejections, serial.eval_stats.rejections)
-            << label;
-        EXPECT_EQ(r.eval_stats.scheduled, serial.eval_stats.scheduled)
-            << label;
-      }
+  const EmtsResult serial = Emts(emts_config(0, false, true)).schedule(pi);
+  ASSERT_GT(serial.eval_stats.rejections, 0u);
+  for (const std::size_t threads : {0u, 2u, 8u}) {
+    for (int rerun = 0; rerun < 2; ++rerun) {
+      const std::string label = "threads=" + std::to_string(threads) +
+                                " rerun=" + std::to_string(rerun);
+      const EmtsResult r =
+          Emts(emts_config(threads, false, true)).schedule(pi);
+      expect_same_run(serial, r, label);
+      EXPECT_EQ(r.eval_stats.rejections, serial.eval_stats.rejections)
+          << label;
+      EXPECT_EQ(r.eval_stats.scheduled, serial.eval_stats.scheduled)
+          << label;
     }
   }
 }

@@ -4,29 +4,26 @@
 // uniform 1.0 speeds and an all-zero cost matrix must reproduce the
 // homogeneous kernel's width-one placements bit for bit (1/1.0 and x+0.0
 // are exact in IEEE arithmetic, so this is ASSERT_EQ, not approximate).
-// Incrementality: on genuinely heterogeneous platforms — per-processor
-// speeds, with and without link costs — the full, delta and
-// sibling-lockstep kernel paths must agree bitwise with each other and
-// with the preserved ReferenceMapper oracle, in value AND rejection
-// count, across every corpus class, mutation shape and selection policy;
-// and the threaded evaluation engine must produce one trajectory under
-// PTGSCHED_KERNEL=full|incremental|batched alike.
+// Oracle agreement: on genuinely heterogeneous platforms — per-processor
+// speeds, with and without link costs — the kernel must agree bitwise
+// with the ReferenceMapper test oracle, in value AND rejection count,
+// across every corpus class and selection policy; and the threaded
+// evaluation engine must produce one trajectory whatever its thread
+// count.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
+#include "../common/reference_mapper.hpp"
 #include "../common/test_graphs.hpp"
 #include "core/problem_instance.hpp"
 #include "daggen/corpus.hpp"
 #include "emts/emts.hpp"
 #include "model/execution_time.hpp"
 #include "sched/list_scheduler.hpp"
-#include "sched/reference_mapper.hpp"
 #include "sched/validate.hpp"
 #include "support/rng.hpp"
 
@@ -46,42 +43,9 @@ Allocation random_mapping(std::size_t n, int P, Rng& rng) {
   return alloc;
 }
 
-enum class Shape { kSingleGene, kMultiGene, kDeepResume };
-
-void mutate_shaped(Allocation& alloc, int P, Shape shape,
-                   const EvalTrace& trace, Rng& rng,
-                   std::vector<TaskId>& touched) {
-  touched.clear();
-  const std::size_t n = alloc.size();
-  switch (shape) {
-    case Shape::kSingleGene: {
-      const std::size_t pos = rng.index(n);
-      alloc[pos] = static_cast<int>(rng.uniform_int(1, P));
-      touched.push_back(static_cast<TaskId>(pos));
-      break;
-    }
-    case Shape::kMultiGene: {
-      const std::size_t count = 2 + rng.index(5);
-      for (std::size_t k = 0; k < count; ++k) {
-        const std::size_t pos = rng.index(n);
-        alloc[pos] = static_cast<int>(rng.uniform_int(1, P));
-        touched.push_back(static_cast<TaskId>(pos));
-      }
-      break;
-    }
-    case Shape::kDeepResume: {
-      const std::size_t tail = 1 + rng.index(std::min<std::size_t>(4, n));
-      const TaskId pos = static_cast<TaskId>(trace.pop_order[n - tail]);
-      alloc[pos] = static_cast<int>(rng.uniform_int(1, P));
-      touched.push_back(pos);
-      break;
-    }
-  }
-}
-
 /// The heterogeneous platforms under test: speeds only (no cost matrix,
 /// the comm-free kernel instantiation) and speeds plus uniform link
-/// costs (the kComm instantiation with its restore-fixup path).
+/// costs (the kComm instantiation).
 std::vector<Cluster> hetero_platforms() {
   return {heterogeneous_variant(chti()),
           heterogeneous_variant(chti(), /*link_cost=*/0.35)};
@@ -160,10 +124,8 @@ TEST(HeteroDegeneracy, ReproducesHomogeneousWidthOnePlacements) {
   }
 }
 
-TEST(HeteroIdentity, FullDeltaAndSiblingPathsMatchTheOracle) {
+TEST(HeteroIdentity, KernelMatchesTheOracle) {
   const SyntheticModel model;
-  std::size_t total_replayed = 0;
-  std::size_t total_resumed = 0;
   for (const Cluster& c : hetero_platforms()) {
     const int P = c.num_processors();
     for (const std::string& cls : corpus_classes()) {
@@ -175,58 +137,30 @@ TEST(HeteroIdentity, FullDeltaAndSiblingPathsMatchTheOracle) {
         opts.selection = policy;
         for (const auto& g : graphs) {
           const auto pi = ProblemInstance::borrow(g, model, c);
-          ListScheduler full(pi, opts);
-          ListScheduler delta(pi, opts);
-          ListScheduler batch(pi, opts);
-          ListScheduler tracer(pi, opts);
+          ListScheduler sched(pi, opts);
           ReferenceMapper oracle(pi, opts);
           Rng rng(derive_seed(804, g.num_tasks(),
                               static_cast<std::uint64_t>(policy) +
                                   (c.has_comm_costs() ? 2u : 0u)));
-          const Allocation parent =
-              random_mapping(g.num_tasks(), P, rng);
-          EvalTrace trace;
-          const double base = tracer.makespan_traced(parent, trace);
-          ASSERT_EQ(base, oracle.makespan(parent));
-          ASSERT_EQ(base, full.makespan(parent));
-          ASSERT_TRUE(batch.begin_sibling_batch(trace));
-          std::vector<TaskId> touched;
           for (int k = 0; k < 18; ++k) {
-            Allocation child = parent;
-            const auto shape = static_cast<Shape>(k % 3);
-            mutate_shaped(child, P, shape, trace, rng, touched);
-            const double want = oracle.makespan(child);
-            ASSERT_EQ(want, full.makespan(child))
-                << cls << " sibling " << k << " comm "
-                << c.has_comm_costs();
-            ASSERT_EQ(want, delta.makespan_delta(child, touched, trace))
-                << cls << " sibling " << k << " shape "
-                << static_cast<int>(shape) << " comm "
-                << c.has_comm_costs();
-            ASSERT_EQ(want, batch.makespan_sibling(child, touched, trace))
-                << cls << " sibling " << k << " shape "
-                << static_cast<int>(shape) << " comm "
-                << c.has_comm_costs();
+            const Allocation alloc = random_mapping(g.num_tasks(), P, rng);
+            const double want = oracle.makespan(alloc);
+            ASSERT_EQ(want, sched.makespan(alloc))
+                << cls << " trial " << k << " comm " << c.has_comm_costs();
             // Bounded sweep below, at, and above the exact value: the
-            // incremental paths must reproduce the rejection decision.
+            // kernel must reproduce the rejection decision.
             for (const double factor : {0.8, 1.0, 1.2}) {
-              ASSERT_EQ(oracle.makespan_bounded(child, want * factor),
-                        batch.makespan_sibling(child, touched, trace,
-                                               want * factor));
+              ASSERT_EQ(oracle.makespan_bounded(alloc, want * factor),
+                        sched.makespan_bounded(alloc, want * factor))
+                  << cls << " trial " << k << " factor " << factor;
             }
           }
-          EXPECT_EQ(oracle.rejected_count(), batch.rejected_count());
-          total_replayed += batch.kernel().delta_replayed_count();
-          total_resumed += batch.kernel().delta_resumed_count();
+          EXPECT_GT(sched.rejected_count(), 0u);
+          EXPECT_EQ(oracle.rejected_count(), sched.rejected_count());
         }
       }
     }
   }
-  // The deep-resume shape must have exercised the heap-free replay AND
-  // the heap resume on heterogeneous lanes — otherwise this suite would
-  // pass while silently running full passes everywhere.
-  EXPECT_GT(total_replayed, 0u);
-  EXPECT_GT(total_resumed, 0u);
 }
 
 TEST(HeteroIdentity, SchedulesAreValidOnHeterogeneousPlatforms) {
@@ -251,36 +185,10 @@ TEST(HeteroIdentity, SchedulesAreValidOnHeterogeneousPlatforms) {
   }
 }
 
-/// Scoped PTGSCHED_KERNEL override (restores the previous value).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) {
-      had_ = true;
-      old_ = old;
-    }
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
-
-TEST(HeteroIdentity, EngineTrajectoriesAgreeAcrossKernelModesAndThreads) {
+TEST(HeteroIdentity, EngineTrajectoriesAgreeAcrossThreads) {
   // End-to-end: the evolutionary search over processor genomes must walk
-  // ONE trajectory whichever kernel mode PTGSCHED_KERNEL selects and
-  // however many evaluation threads run, on both hetero platform shapes.
+  // ONE trajectory however many evaluation threads run, on both hetero
+  // platform shapes.
   const SyntheticModel model;
   for (const Cluster& c : hetero_platforms()) {
     const Ptg g = irregular_corpus(40, 1, 807).front();
@@ -289,29 +197,15 @@ TEST(HeteroIdentity, EngineTrajectoriesAgreeAcrossKernelModesAndThreads) {
     EmtsConfig cfg = emts5_config();
     cfg.seed = 808;
     cfg.memoize = false;  // force every child through the mapping kernel
-    struct Run {
-      const char* kernel;
-      std::size_t threads;
-    };
-    const Run runs[] = {{"full", 0}, {"incremental", 0}, {"batched", 0},
-                        {"full", 2}, {"batched", 2}};
-    double want = 0.0;
-    Allocation want_alloc;
-    for (const Run& r : runs) {
-      ScopedEnv env("PTGSCHED_KERNEL", r.kernel);
-      cfg.threads = r.threads;
-      cfg.kernel.reset();
+    cfg.threads = 0;
+    const EmtsResult want = Emts(cfg).schedule(pi);
+    for (const std::size_t threads : {2u, 4u}) {
+      cfg.threads = threads;
       const EmtsResult got = Emts(cfg).schedule(pi);
-      if (want_alloc.empty()) {
-        want = got.makespan;
-        want_alloc = got.best_allocation;
-        continue;
-      }
-      EXPECT_EQ(want, got.makespan)
-          << r.kernel << " threads " << r.threads << " comm "
-          << c.has_comm_costs();
-      EXPECT_EQ(want_alloc, got.best_allocation)
-          << r.kernel << " threads " << r.threads;
+      EXPECT_EQ(want.makespan, got.makespan)
+          << "threads " << threads << " comm " << c.has_comm_costs();
+      EXPECT_EQ(want.best_allocation, got.best_allocation)
+          << "threads " << threads;
     }
   }
 }
