@@ -3,8 +3,9 @@
 // Section VI: "The execution time of the EA is mainly determined by the
 // mapping function as it evaluates the fitness of individuals." These
 // benchmarks quantify exactly that: bottom levels, one fitness evaluation
-// (list scheduling), CPA-family allocation, the mutation operator, and a
-// whole EMTS generation, across graph and platform sizes.
+// (list scheduling), one placement pass, CPA-family allocation, the
+// mutation operator, and a whole EMTS generation, across graph and
+// platform sizes.
 
 #include <benchmark/benchmark.h>
 
@@ -146,6 +147,24 @@ void BM_McpaAllocation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_McpaAllocation)->Arg(20)->Arg(100);
+
+// One placement pass (the final mapping of an EMTS call) of a 100-task
+// graph's MCPA allocation on Grelon under Model 2; arg 0 = policy
+// (0 EarliestAvailable, 1 BestFit).
+void BM_BuildSchedule(benchmark::State& state) {
+  const Ptg g = bench_graph(100);
+  const Cluster cluster = grelon();
+  const SyntheticModel model;
+  ListSchedulerOptions opts;
+  opts.selection = state.range(0) == 0 ? ProcessorSelection::EarliestAvailable
+                                       : ProcessorSelection::BestFit;
+  ListScheduler sched(g, cluster, model, opts);
+  const Allocation alloc = McpaAllocation().allocate(g, model, cluster);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sched.build_schedule(alloc));
+  }
+}
+BENCHMARK(BM_BuildSchedule)->Arg(0)->Arg(1);
 
 void BM_MutationOperator(benchmark::State& state) {
   MutationParams params;

@@ -1,8 +1,6 @@
 #include "heuristics/cpa.hpp"
 
-#include <algorithm>
-
-#include "ptg/algorithms.hpp"
+#include "heuristics/critical_path_tracker.hpp"
 
 namespace ptgsched {
 
@@ -11,12 +9,12 @@ namespace {
 /// Shared CPA allocation loop. With `level_bound` the processors granted
 /// within one precedence level never exceed P (MCPA); without it the loop
 /// is classic CPA/HCPA. All execution times come from the instance's
-/// precomputed table.
+/// precomputed table; bottom levels and the critical path are kept up to
+/// date incrementally (CriticalPathTracker), bit-identical to recomputing
+/// them per grant.
 Allocation cpa_core(const ProblemInstance& pi, bool level_bound) {
-  const Ptg& g = pi.graph();
   const int P = pi.num_processors();
   const std::size_t n = pi.num_tasks();
-  const std::span<const TaskId> topo = pi.topo_order();
   const std::span<const int> levels = pi.precedence_levels();
   const double* table = pi.time_table().data();
   const auto stride = static_cast<std::size_t>(P);
@@ -24,6 +22,7 @@ Allocation cpa_core(const ProblemInstance& pi, bool level_bound) {
   Allocation alloc(n, 1);
   std::vector<double> times(n);
   for (TaskId v = 0; v < n; ++v) times[v] = table[v * stride];
+  CriticalPathTracker cp(pi, std::move(times));
 
   std::vector<long long> level_alloc(static_cast<std::size_t>(pi.num_levels()),
                                      0);
@@ -31,28 +30,25 @@ Allocation cpa_core(const ProblemInstance& pi, bool level_bound) {
     level_alloc[static_cast<std::size_t>(levels[v])] += 1;
   }
 
-  std::vector<double> bl;
-  const auto time_of = [&](TaskId v) { return times[v]; };
-
   // Each iteration grants exactly one processor, so the loop runs at most
   // V * (P - 1) times; the explicit bound guards against model pathologies.
   const std::size_t max_iters = n * static_cast<std::size_t>(P) + 1;
   for (std::size_t iter = 0; iter < max_iters; ++iter) {
-    bottom_levels_into(g, topo, time_of, bl);
-    const double t_cp = *std::max_element(bl.begin(), bl.end());
+    const double t_cp = cp.length();
+    // Summed in task order every time: a running sum would round
+    // differently and could flip the stop test below.
     double work = 0.0;
     for (TaskId v = 0; v < n; ++v) {
-      work += static_cast<double>(alloc[v]) * times[v];
+      work += static_cast<double>(alloc[v]) * cp.time(v);
     }
     const double t_a = work / static_cast<double>(P);
     if (t_cp <= t_a) break;
 
     // Candidate = critical-path task with the best improvement of the
     // average per-processor time T(v,s)/s when granted one more processor.
-    const auto path = critical_path(g, time_of);
     TaskId best = kInvalidTask;
     double best_gain = 0.0;
-    for (const TaskId v : path) {
+    for (const TaskId v : cp.path()) {
       const int s = alloc[v];
       if (s >= P) continue;
       if (level_bound &&
@@ -60,7 +56,7 @@ Allocation cpa_core(const ProblemInstance& pi, bool level_bound) {
         continue;
       }
       const double t_next = table[v * stride + static_cast<std::size_t>(s)];
-      const double gain = times[v] / static_cast<double>(s) -
+      const double gain = cp.time(v) / static_cast<double>(s) -
                           t_next / static_cast<double>(s + 1);
       if (gain > best_gain ||
           (gain == best_gain && best != kInvalidTask && v < best &&
@@ -76,8 +72,8 @@ Allocation cpa_core(const ProblemInstance& pi, bool level_bound) {
     if (best == kInvalidTask || !(best_gain > 0.0)) break;
 
     alloc[best] += 1;
-    times[best] = table[best * stride + static_cast<std::size_t>(alloc[best]) -
-                        1];
+    cp.set_time(best, table[best * stride +
+                            static_cast<std::size_t>(alloc[best]) - 1]);
     level_alloc[static_cast<std::size_t>(levels[best])] += 1;
   }
   return alloc;

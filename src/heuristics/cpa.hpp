@@ -23,6 +23,17 @@
 // paper's observation "allocations will grow up to a size of 4-8 processors
 // before the allocation procedure stops" (Section V-B) emerges under
 // Model 2.
+//
+// Each iteration needs the critical path under the times granted so far.
+// The loop keeps the bottom levels incremental (CriticalPathTracker): one
+// full sweep up front, then, per granted processor, only the grown task
+// and those of its ancestors whose level actually changes are recomputed,
+// in decreasing topological position, with the same t(v) + max(successor
+// bl) expression. Each recomputed task sees its successors' final values
+// and max is exact, so every level, path and allocation is bit-identical
+// to recomputing all levels per grant. The work sum W of the stop test is
+// still re-added in task order every iteration: a running sum would round
+// differently and could flip T_CP <= T_A.
 
 #include "heuristics/allocation_heuristic.hpp"
 

@@ -1,13 +1,10 @@
 #include "heuristics/cpr.hpp"
 
-#include <algorithm>
-
-#include "ptg/algorithms.hpp"
+#include "heuristics/critical_path_tracker.hpp"
 
 namespace ptgsched {
 
 Allocation CprAllocation::allocate(const ProblemInstance& instance) const {
-  const Ptg& g = instance.graph();
   const int P = instance.num_processors();
   const std::size_t n = instance.num_tasks();
   const double* table = instance.time_table().data();
@@ -18,6 +15,7 @@ Allocation CprAllocation::allocate(const ProblemInstance& instance) const {
   Allocation alloc(n, 1);
   std::vector<double> times(n);
   for (TaskId v = 0; v < n; ++v) times[v] = table[v * stride];
+  CriticalPathTracker cp(instance, std::move(times));
 
   double best_makespan = mapper.makespan(alloc);
 
@@ -26,12 +24,9 @@ Allocation CprAllocation::allocate(const ProblemInstance& instance) const {
   // growth pays off in the mapped schedule.
   const std::size_t max_iters = n * static_cast<std::size_t>(P) + 1;
   for (std::size_t iter = 0; iter < max_iters; ++iter) {
-    const auto path =
-        critical_path(g, [&](TaskId v) { return times[v]; });
-
     TaskId best_task = kInvalidTask;
     double best_candidate = best_makespan;
-    for (const TaskId v : path) {
+    for (const TaskId v : cp.path()) {
       if (alloc[v] >= P) continue;
       alloc[v] += 1;
       const double m = mapper.makespan(alloc);
@@ -44,9 +39,9 @@ Allocation CprAllocation::allocate(const ProblemInstance& instance) const {
     if (best_task == kInvalidTask) break;
 
     alloc[best_task] += 1;
-    times[best_task] =
-        table[best_task * stride + static_cast<std::size_t>(alloc[best_task]) -
-              1];
+    cp.set_time(best_task, table[best_task * stride +
+                                 static_cast<std::size_t>(alloc[best_task]) -
+                                 1]);
     best_makespan = best_candidate;
   }
   return alloc;

@@ -111,19 +111,32 @@ double critical_path_length(const Ptg& g, const TaskTimeFn& time) {
 std::vector<TaskId> critical_path(const Ptg& g, const TaskTimeFn& time) {
   if (g.num_tasks() == 0) return {};
   const auto bl = bottom_levels(g, time);
+  std::vector<double> times(g.num_tasks());
+  std::vector<TaskId> sources;
+  for (TaskId v = 0; v < g.num_tasks(); ++v) {
+    times[v] = time(v);
+    if (g.in_degree(v) == 0) sources.push_back(v);
+  }
+  std::vector<TaskId> path;
+  critical_path_into(g, sources, bl, times, path);
+  return path;
+}
 
+void critical_path_into(const Ptg& g, std::span<const TaskId> sources,
+                        std::span<const double> bl,
+                        std::span<const double> time,
+                        std::vector<TaskId>& out) {
+  out.clear();
   // Start from the source-level task with the largest bottom level
   // (smallest id on ties), then repeatedly follow the successor whose
   // bottom level matches the remaining path length.
   TaskId cur = kInvalidTask;
-  for (TaskId v = 0; v < g.num_tasks(); ++v) {
-    if (g.in_degree(v) != 0) continue;
+  for (const TaskId v : sources) {
     if (cur == kInvalidTask || bl[v] > bl[cur]) cur = v;
   }
-  std::vector<TaskId> path;
   while (cur != kInvalidTask) {
-    path.push_back(cur);
-    const double remaining = bl[cur] - time(cur);
+    out.push_back(cur);
+    const double remaining = bl[cur] - time[cur];
     TaskId next = kInvalidTask;
     for (const TaskId w : g.successors(cur)) {
       // Floating-point equality is exact here: bl values are built from the
@@ -142,7 +155,6 @@ std::vector<TaskId> critical_path(const Ptg& g, const TaskTimeFn& time) {
     }
     cur = next;
   }
-  return path;
 }
 
 std::size_t max_level_width(const Ptg& g) {

@@ -61,6 +61,19 @@ void bottom_levels_into(const Ptg& g, std::span<const TaskId> topo,
 [[nodiscard]] std::vector<TaskId> critical_path(const Ptg& g,
                                                 const TaskTimeFn& time);
 
+/// The walk behind critical_path, over bottom levels the caller already
+/// holds: `bl` must be the bottom levels under the per-task times `time`,
+/// and `sources` the tasks without predecessors in ascending id order.
+/// Starts at the source with the largest bottom level (smallest id on
+/// ties) and follows the smallest-id successor whose bottom level equals
+/// the remaining length, falling back to the first successor of maximum
+/// bottom level when rounding breaks the equality. Writes the path into
+/// `out`.
+void critical_path_into(const Ptg& g, std::span<const TaskId> sources,
+                        std::span<const double> bl,
+                        std::span<const double> time,
+                        std::vector<TaskId>& out);
+
 /// Maximum number of pairwise-independent tasks per precedence level
 /// (a cheap width proxy used by generators and tests).
 [[nodiscard]] std::size_t max_level_width(const Ptg& g);

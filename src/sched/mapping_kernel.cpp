@@ -1,5 +1,6 @@
 #include "sched/mapping_kernel.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -46,14 +47,12 @@ MappingKernel::MappingKernel(const ProblemInstance& instance,
   succ_off_ = instance.succ_offsets().data();
 
   lane_off_.assign(lanes_.size() + 1, 0);
-  std::size_t max_procs = 0;
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
     if (lanes_[k].num_processors < 1) {
       throw std::invalid_argument("MappingKernel: empty lane");
     }
     const auto procs = static_cast<std::size_t>(lanes_[k].num_processors);
     lane_off_[k + 1] = lane_off_[k] + procs;
-    max_procs = std::max(max_procs, procs);
   }
   slack_off_.assign(lanes_.size() + 1, 0);
   for (std::size_t k = 0; k < lanes_.size(); ++k) {
@@ -63,7 +62,7 @@ MappingKernel::MappingKernel(const ProblemInstance& instance,
   lane_head_.assign(lanes_.size(), 0);
   sorted_avail_.assign(slack_off_.back(), 0.0);
   proc_avail_.assign(lane_off_.back(), 0.0);
-  proc_order_.reserve(max_procs);
+  proc_order_.assign(lane_off_.back(), 0);
   bl_.assign(n_, 0.0);
   data_ready_.assign(n_, 0.0);
 
@@ -77,55 +76,61 @@ MappingKernel::MappingKernel(const ProblemInstance& instance,
 void MappingKernel::occupy_placed(TaskId v, const Placement& p,
                                   ProcessorSelection selection,
                                   Schedule* out) {
-  double* av = sorted_avail_.data() + slack_off_[p.lane] + lane_head_[p.lane];
+  const double* av =
+      sorted_avail_.data() + slack_off_[p.lane] + lane_head_[p.lane];
   const std::size_t procs = lane_off_[p.lane + 1] - lane_off_[p.lane];
   const std::size_t s = p.size;
-
-  // Placement path: deterministic processor identities. Sort processor
-  // indices by (available time, index): proc_order_[k] is the k-th
-  // processor of the lane to become free.
   double* pv = proc_avail_.data() + lane_off_[p.lane];
-  proc_order_.resize(procs);
-  for (std::size_t i = 0; i < procs; ++i) {
-    proc_order_[i] = static_cast<int>(i);
-  }
-  std::sort(proc_order_.begin(), proc_order_.end(), [pv](int a, int b) {
-    const auto ua = static_cast<std::size_t>(a);
-    const auto ub = static_cast<std::size_t>(b);
-    if (pv[ua] != pv[ub]) return pv[ua] < pv[ub];
-    return a < b;
-  });
+  // The lane's processor indices by (available time, index): order[k] is
+  // the k-th processor of the lane to become free.
+  int* order = proc_order_.data() + lane_off_[p.lane];
 
   std::size_t first = 0;
   if (selection == ProcessorSelection::BestFit) {
     // Last s processors whose availability is still <= start: keeps the
-    // earliest-free processors open for later ready tasks.
-    std::size_t eligible = s;
-    while (eligible < procs &&
-           pv[static_cast<std::size_t>(proc_order_[eligible])] <= p.start) {
-      ++eligible;
-    }
-    first = eligible - s;
+    // earliest-free processors open for later ready tasks. The mirror
+    // holds the same free times sorted, so its rank of the start time is
+    // the number of such processors.
+    first = sorted_rank(av, procs, p.start) - s;
   }
 
   PlacedTask placed;
   placed.task = v;
   placed.start = p.start;
   placed.finish = p.finish;
-  placed.processors.reserve(s);
-  const int base = lanes_[p.lane].first_processor;
-  for (std::size_t k = first; k < first + s; ++k) {
-    pv[static_cast<std::size_t>(proc_order_[k])] = p.finish;
-    placed.processors.push_back(base + proc_order_[k]);
-  }
+  placed.processors.assign(order + first, order + first + s);
   std::sort(placed.processors.begin(), placed.processors.end());
+
+  // Re-insert the chosen run at its (finish, index) position: every entry
+  // before the run is free no later than start <= finish, so the run only
+  // moves toward the back, merging by index with the tail entries that
+  // also free up at `finish`.
+  std::size_t dst = first;
+  std::size_t src = first + s;
+  for (std::size_t c = 0; c < s;) {
+    const int chosen = placed.processors[c];
+    if (src < procs) {
+      const int q = order[src];
+      const double t = pv[static_cast<std::size_t>(q)];
+      if (t < p.finish || (t == p.finish && q < chosen)) {
+        order[dst++] = q;
+        ++src;
+        continue;
+      }
+    }
+    order[dst++] = chosen;
+    pv[static_cast<std::size_t>(chosen)] = p.finish;
+    ++c;
+  }
+
+  const int base = lanes_[p.lane].first_processor;
+  for (int& proc : placed.processors) proc += base;
   out->add(std::move(placed));
 
-  // Refresh the sorted query mirror for this lane so earliest_start stays
-  // an O(1) read on the placement path too (cold path; the sort matches
-  // the per-pop cost the placement path already pays).
-  std::copy(pv, pv + procs, av);
-  std::sort(av, av + procs);
+  // The query mirror loses the s chosen free times (the run av[first ..
+  // first + s)) and gains s copies of the finish: exactly the value-path
+  // update, so earliest_start stays an O(1) read here too.
+  occupy_value(p, selection);
 }
 
 }  // namespace ptgsched

@@ -37,6 +37,8 @@
 //     (binary search on lanes wider than kLinearScanMaxProcs);
 //   * placement path (Schedule requested): processors are chosen by the
 //     deterministic (available time, index) order, exactly as published.
+//     Each lane keeps that order across the pass, so placing a task moves
+//     only its s processors (occupy_placed).
 //
 // Rejection (the paper's Section VI): a bounded pass aborts as soon as
 // some task's start plus its bottom level exceeds the bound, since the
@@ -234,6 +236,14 @@ class MappingKernel {
     }
     if (placement) {
       std::fill(proc_avail_.begin(), proc_avail_.end(), 0.0);
+      // Every processor is free at 0, so (free time, index) order is
+      // index order.
+      for (std::size_t k = 0; k < lanes_.size(); ++k) {
+        int* order = proc_order_.data() + lane_off_[k];
+        for (std::size_t i = 0; i < lane_off_[k + 1] - lane_off_[k]; ++i) {
+          order[i] = static_cast<int>(i);
+        }
+      }
     }
     std::fill(data_ready_.begin(), data_ready_.end(), 0.0);
     std::copy(st.in_degree.begin(), st.in_degree.end(), st.waiting.begin());
@@ -389,6 +399,14 @@ class MappingKernel {
     occupy_placed(v, p, selection, out);
   }
 
+  /// Placement-path occupy: names the processors. Each lane keeps its
+  /// processor indices ordered by (free time, index) across the pass
+  /// (proc_order_), so a placement reads its s processors off that order
+  /// — the first s (EarliestAvailable) or the last s free at p.start
+  /// (BestFit, counted by sorted_rank on the mirror) — and merges just
+  /// that run back at its (finish, index) position. The sorted mirror
+  /// earliest_start reads is then updated by occupy_value, which yields
+  /// the same sorted multiset as copying and sorting the free times.
   void occupy_placed(TaskId v, const Placement& p,
                      ProcessorSelection selection, Schedule* out);
 
@@ -412,7 +430,9 @@ class MappingKernel {
   /// see occupy_value.
   std::vector<double> sorted_avail_;
   std::vector<double> proc_avail_;  ///< Per processor (placement path).
-  std::vector<int> proc_order_;     ///< Placement-path scratch.
+  /// Per lane, at lane_off_: the lane's processor indices ordered by
+  /// (proc_avail_, index) — placement-path scratch, reset per pass.
+  std::vector<int> proc_order_;
   std::vector<double> bl_;
   std::vector<double> data_ready_;
   std::atomic<std::size_t> rejected_{0};

@@ -21,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "heavy_spec.hpp"
 #include "serve/client.hpp"
 #include "serve/journal.hpp"
 #include "serve/server.hpp"
@@ -68,6 +69,10 @@ TEST_F(KillRecoverTest, SigtermMidRequestRecoversBitIdentically) {
   // --- Phase 1: serve some traffic, then SIGTERM mid-request. ----------
   std::map<std::uint64_t, std::string> finished_results;
   std::vector<std::uint64_t> interrupted_ids;
+  // The kill follows within milliseconds of the worker picking the heavy
+  // request up; a run measured at 250 ms or more straddles it with a wide
+  // margin.
+  const JobSpec heavy = heavy_spec(spec_for(5), 2000, 0.25);
   {
     CancellationToken shutdown;
     install_signal_cancellation(&shutdown);
@@ -88,9 +93,6 @@ TEST_F(KillRecoverTest, SigtermMidRequestRecoversBitIdentically) {
     }
     // ...then a heavyweight one is mid-flight when SIGTERM arrives,
     // with another queued behind it on the single worker.
-    JobSpec heavy = spec_for(5);
-    heavy.cls = "irregular";
-    heavy.tasks = 2000;  // big enough to straddle the kill comfortably
     const SubmitOutcome running = client.submit(heavy, "tenant-a");
     ASSERT_TRUE(running.accepted);
     interrupted_ids.push_back(running.id);
@@ -165,9 +167,6 @@ TEST_F(KillRecoverTest, SigtermMidRequestRecoversBitIdentically) {
     server.start();
     ServeClient client(fresh.socket_path);
 
-    JobSpec heavy = spec_for(5);
-    heavy.cls = "irregular";
-    heavy.tasks = 2000;
     const SubmitOutcome o = client.submit(heavy, "tenant-a");
     ASSERT_TRUE(o.accepted);
     ASSERT_TRUE(client.wait_terminal(o.id, 120.0).has_value());

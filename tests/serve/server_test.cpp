@@ -7,11 +7,13 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "heavy_spec.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
 
@@ -19,6 +21,21 @@ namespace ptgsched::serve {
 namespace {
 
 namespace fs = std::filesystem;
+
+/// A request that parks a worker must outlast the few round trips a test
+/// makes behind it (a handful of milliseconds, tens under a sanitizer):
+/// 100 ms leaves a margin of five and more.
+constexpr double kParkSeconds = 0.1;
+
+/// Poll `id` until it is running or terminal; returns the status seen.
+std::string await_running(ServeClient& client, std::uint64_t id) {
+  for (;;) {
+    const Json status = client.status(id);
+    const std::string s = status.at("status").as_string();
+    if (s != "queued") return s;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -111,9 +128,7 @@ TEST_F(ServerTest, BackpressureRejectsWithRetryAfter) {
   // Park the single worker on a heavyweight request, then overfill the
   // one-slot queue: the second tiny submission must shed immediately
   // with a usable retry hint.
-  JobSpec heavy = tiny_spec();
-  heavy.cls = "irregular";
-  heavy.tasks = 200;
+  const JobSpec heavy = heavy_spec(tiny_spec(), 200, kParkSeconds);
   const SubmitOutcome busy = client.submit(heavy, "t");
   ASSERT_TRUE(busy.accepted);
 
@@ -156,13 +171,16 @@ TEST_F(ServerTest, DeadlineExpiryCancelsWithDeadlineReason) {
   start();
   ServeClient client(config_.socket_path);
 
-  // A heavyweight spec with a 100 ms deadline: the watchdog must trip it
-  // (a 2000-task EMTS run takes a couple hundred ms at minimum).
-  JobSpec heavy = tiny_spec();
-  heavy.cls = "irregular";
-  heavy.tasks = 2000;
-  const SubmitOutcome outcome = client.submit(heavy, "t", 0.1);
+  // A 50 ms deadline on a request whose EMTS run was measured to take at
+  // least five times the deadline plus the watchdog's 20 ms tick: the
+  // watchdog must trip it while it runs.
+  constexpr double kDeadline = 0.05;
+  const JobSpec heavy =
+      heavy_spec(tiny_spec(), 2000, 5.0 * (kDeadline + 0.02));
+  const SubmitOutcome outcome = client.submit(heavy, "t", kDeadline);
   ASSERT_TRUE(outcome.accepted);
+  ASSERT_EQ("running", await_running(client, outcome.id))
+      << "the request never ran before its deadline";
 
   const auto final_status = client.wait_terminal(outcome.id, 30.0);
   ASSERT_TRUE(final_status.has_value());
@@ -177,11 +195,8 @@ TEST_F(ServerTest, UserCancelOfAQueuedRequest) {
   ServeClient client(config_.socket_path);
 
   // Park a slow request on the single worker, then cancel one behind it.
-  // It must outlast the next submit and the cancel round trip: with
-  // rejection on by default, a 100-task layered job finished first.
-  JobSpec heavy = tiny_spec();
-  heavy.cls = "irregular";
-  heavy.tasks = 200;
+  // It must outlast the next submit and the cancel round trip.
+  const JobSpec heavy = heavy_spec(tiny_spec(), 200, kParkSeconds);
   const SubmitOutcome running = client.submit(heavy, "t");
   ASSERT_TRUE(running.accepted);
   const SubmitOutcome queued = client.submit(tiny_spec(), "t");
@@ -190,6 +205,9 @@ TEST_F(ServerTest, UserCancelOfAQueuedRequest) {
   const Json cancelled = client.cancel(queued.id);
   EXPECT_EQ("cancelled", cancelled.at("status").as_string());
   EXPECT_EQ("user_cancel", cancelled.at("detail").as_string());
+  // The premise held: the parked request had not finished yet, so the
+  // cancelled one was still waiting behind it.
+  EXPECT_EQ("running", await_running(client, running.id));
 
   // The running request is unaffected.
   const auto final_status = client.wait_terminal(running.id, 30.0);
