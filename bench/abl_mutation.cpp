@@ -24,8 +24,7 @@ using namespace ptgsched;
 namespace {
 
 MutateFn uniform_mutator(double fm, std::size_t U, int P) {
-  return [fm, U, P](const Allocation& parent, std::size_t u, Rng& rng) {
-    Allocation child = parent;
+  return [fm, U, P](Allocation& child, std::size_t u, Rng& rng) {
     const std::size_t m =
         mutation_count(std::min(u, U - 1), U, fm, child.size());
     for (const std::size_t pos : rng.sample_indices(child.size(), m)) {
@@ -36,13 +35,11 @@ MutateFn uniform_mutator(double fm, std::size_t U, int P) {
       child[pos] = static_cast<int>(
           std::clamp<long long>(child[pos] + delta, 1, P));
     }
-    return child;
   };
 }
 
 MutateFn fixed_count_mutator(MutationParams params, double fm, int P) {
-  return [params, fm, P](const Allocation& parent, std::size_t, Rng& rng) {
-    Allocation child = parent;
+  return [params, fm, P](Allocation& child, std::size_t, Rng& rng) {
     const auto m = std::max<std::size_t>(
         1, static_cast<std::size_t>(fm * static_cast<double>(child.size())));
     for (const std::size_t pos : rng.sample_indices(child.size(), m)) {
@@ -50,7 +47,6 @@ MutateFn fixed_count_mutator(MutationParams params, double fm, int P) {
       child[pos] = static_cast<int>(
           std::clamp<long long>(child[pos] + delta, 1, P));
     }
-    return child;
   };
 }
 

@@ -116,7 +116,8 @@ int main(int argc, char** argv) {
     for (std::size_t b = 0; b < batches_n; ++b) {
       batches[b].resize(lambda);
       for (auto& ind : batches[b]) {
-        ind.genes = mutate(base, std::min<std::size_t>(b, 9), rng);
+        ind.genes = base;
+        mutate(ind.genes, std::min<std::size_t>(b, 9), rng);
       }
     }
     const double total =

@@ -1,6 +1,8 @@
 #include "ea/evolution.hpp"
 
 #include <algorithm>
+#include <limits>
+#include <numeric>
 #include <stdexcept>
 
 #include "support/stats.hpp"
@@ -72,28 +74,7 @@ void EvolutionStrategy::set_tracked_mutator(TrackedMutateFn mutate) {
   if (mutate == nullptr) {
     throw std::invalid_argument("ES: tracked mutate must be callable");
   }
-  tracked_mutate_ = std::move(mutate);
-}
-
-void EvolutionStrategy::reproduce(const Individual& parent,
-                                  std::size_t generation, Rng& rng,
-                                  Individual& child) {
-  child.touched.clear();
-  if (tracked_mutate_ != nullptr) {
-    child.genes = tracked_mutate_(parent.genes, generation, rng,
-                                  child.touched);
-    return;
-  }
-  child.genes = mutate_(parent.genes, generation, rng);
-  // Plain mutator: recover the change set by diffing against the parent,
-  // so lineage-aware evaluators work regardless of which operator the
-  // caller supplied.
-  const std::size_t n = std::min(child.genes.size(), parent.genes.size());
-  for (std::size_t v = 0; v < n; ++v) {
-    if (child.genes[v] != parent.genes[v]) {
-      child.touched.push_back(static_cast<TaskId>(v));
-    }
-  }
+  mutate_ = std::move(mutate);
 }
 
 void EvolutionStrategy::evaluate(std::vector<Individual>& pool,
@@ -121,16 +102,13 @@ EsResult EvolutionStrategy::run(const std::vector<Individual>& seeds) {
   // Initial population: all seeds, then mutants of random seeds until at
   // least mu individuals exist.
   std::vector<Individual> population;
-  population.reserve(std::max(config_.mu, seeds.size()) + config_.lambda);
+  population.reserve(std::max(config_.mu, seeds.size()));
   for (const auto& s : seeds) population.push_back(s);
   while (population.size() < config_.mu) {
     const Individual& parent = seeds[rng.index(seeds.size())];
     Individual filler;
-    reproduce(parent, 0, rng, filler);
-    // No lineage: the seed parent has not been evaluated yet, so there is
-    // no trace to delta against in the initial batch.
-    filler.parent = kNoParent;
-    filler.touched.clear();
+    filler.genes = parent.genes;
+    mutate_(filler.genes, 0, rng);
     filler.origin = parent.origin.empty() ? "seed-mutant"
                                           : parent.origin + "-mutant";
     population.push_back(std::move(filler));
@@ -140,21 +118,11 @@ EsResult EvolutionStrategy::run(const std::vector<Individual>& seeds) {
   // in the pool; the flag makes the caller treat `best` as best-effort.
   if (cancel_requested()) result.stopped_by_cancellation = true;
 
-  const auto by_fitness = [](const Individual& a, const Individual& b) {
-    return a.fitness < b.fitness;
-  };
-  std::stable_sort(population.begin(), population.end(), by_fitness);
-  if (population.size() > config_.mu) population.resize(config_.mu);
-
-  // Survivors' lineage points into a pool that no longer exists; clear it
-  // so the next batch never deltas against the wrong index.
-  const auto clear_lineage = [&]() {
-    for (auto& ind : population) {
-      ind.parent = kNoParent;
-      ind.touched.clear();
-    }
-  };
-  clear_lineage();
+  std::stable_sort(population.begin(), population.end(),
+                   [](const Individual& a, const Individual& b) {
+                     return a.fitness < b.fitness;
+                   });
+  population.resize(std::min(population.size(), config_.mu));
 
   const auto record = [&](std::size_t gen) {
     GenerationStats gs;
@@ -179,6 +147,18 @@ EsResult EvolutionStrategy::run(const std::vector<Individual>& seeds) {
   double best_seen = population.front().fitness;
   std::size_t stagnant = 0;
 
+  // One offspring pool for the whole run: under plus selection a copy of
+  // the parents followed by the lambda offspring, under comma selection
+  // the offspring alone. Every slot keeps its genome buffer across
+  // generations, so after the reserve below no child allocates.
+  const std::size_t offspring_begin =
+      config_.plus_selection ? population.size() : 0;
+  std::vector<Individual> pool(offspring_begin + config_.lambda);
+  for (Individual& ind : pool) {
+    ind.genes.reserve(population.front().genes.size());
+  }
+  std::vector<std::size_t> order(pool.size());
+
   for (std::size_t u = 0; u < config_.generations; ++u) {
     if (result.stopped_by_cancellation || cancel_requested()) {
       result.stopped_by_cancellation = true;
@@ -190,28 +170,19 @@ EsResult EvolutionStrategy::run(const std::vector<Individual>& seeds) {
       break;
     }
 
-    // Reproduction: lambda mutants of uniformly chosen parents.
-    std::vector<Individual> pool;
-    pool.reserve((config_.plus_selection ? population.size() : 0) +
-                 config_.lambda);
-    if (config_.plus_selection) {
-      pool.insert(pool.end(), population.begin(), population.end());
-    }
-    const std::size_t offspring_begin = pool.size();
+    // Reproduction: lambda mutants of uniformly chosen parents, written
+    // over the genes of individuals the last selection dropped.
+    const std::string origin = "gen" + std::to_string(u + 1);
     for (std::size_t j = 0; j < config_.lambda; ++j) {
-      const std::size_t pidx = rng.index(population.size());
-      const Individual& parent = population[pidx];
-      Individual child;
-      reproduce(parent, u, rng, child);
-      // Under plus selection the parent sits in this same pool at index
-      // pidx (< offspring_begin), already carrying its fitness — exactly
-      // what a lineage-aware evaluator needs to delta against.
-      child.parent = (config_.plus_selection &&
-                      child.genes.size() == parent.genes.size())
-                         ? pidx
-                         : kNoParent;
-      child.origin = "gen" + std::to_string(u + 1);
-      pool.push_back(std::move(child));
+      const Individual& parent = population[rng.index(population.size())];
+      Individual& child = pool[offspring_begin + j];
+      child.genes.assign(parent.genes.begin(), parent.genes.end());
+      mutate_(child.genes, u, rng);
+      child.fitness = std::numeric_limits<double>::infinity();
+      child.origin = origin;
+    }
+    if (config_.plus_selection) {
+      std::copy(population.begin(), population.end(), pool.begin());
     }
     evaluate(pool, offspring_begin, result);
     if (cancel_requested()) {
@@ -222,10 +193,18 @@ EsResult EvolutionStrategy::run(const std::vector<Individual>& seeds) {
       break;
     }
 
-    std::stable_sort(pool.begin(), pool.end(), by_fitness);
-    pool.resize(std::min(pool.size(), config_.mu));
-    population = std::move(pool);
-    clear_lineage();
+    // Selection: the mu best by fitness, ties in pool order — exactly the
+    // first mu of a stable sort — swapped into the population.
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::partial_sort(order.begin(), order.begin() + population.size(),
+                      order.end(), [&](std::size_t a, std::size_t b) {
+                        if (pool[a].fitness < pool[b].fitness) return true;
+                        if (pool[b].fitness < pool[a].fitness) return false;
+                        return a < b;
+                      });
+    for (std::size_t i = 0; i < population.size(); ++i) {
+      std::swap(population[i], pool[order[i]]);
+    }
 
     ++result.generations_run;
     record(u + 1);

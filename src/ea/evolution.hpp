@@ -11,6 +11,15 @@
 // offspring survive, so "the population can never become worse while the
 // generations proceed" — that elitism invariant is tested as a property.
 // Comma selection is provided for ablations.
+//
+// A run allocates its population and one offspring pool up front and
+// reuses both in every generation: a child overwrites the genes of an
+// individual that the last selection dropped (assign into a buffer that
+// already has the capacity), the mutation operator works on those genes
+// in place, and selection sorts an index buffer and swaps the mu best into
+// the population. The RNG draws are the same ones, in the same order, as
+// with a fresh individual per child, so the trajectory does not depend on
+// this reuse.
 
 #include <cstdint>
 #include <functional>
@@ -26,25 +35,11 @@
 
 namespace ptgsched {
 
-/// Sentinel for Individual::parent: no usable lineage.
-inline constexpr std::size_t kNoParent = SIZE_MAX;
-
 /// One member of the population.
 struct Individual {
   Allocation genes;
   double fitness = std::numeric_limits<double>::infinity();
   std::string origin;  ///< Which seed/operator produced it (for analysis).
-  /// Lineage: index (within the pool handed to BatchEvaluator::
-  /// evaluate_batch) of the already-evaluated parent this individual was
-  /// mutated from, or kNoParent. Only offspring under plus
-  /// selection carry lineage — their parents sit in the same pool at
-  /// indices below `begin` — and it is cleared again right after each
-  /// selection, so stale indices never leak into the next generation.
-  std::size_t parent = kNoParent;
-  /// Gene positions the mutation operator assigned: a superset of the
-  /// positions where genes differ from the parent's (re-assigning the old
-  /// value is allowed). Meaningful only while `parent` is set.
-  std::vector<TaskId> touched;
 };
 
 /// Fitness: lower is better (EMTS: schedule makespan). `slot` identifies
@@ -53,19 +48,19 @@ struct Individual {
 using FitnessFn =
     std::function<double(const Allocation& genes, std::size_t slot)>;
 
-/// Mutation: produce a child genome from a parent at generation `u`.
-using MutateFn = std::function<Allocation(const Allocation& parent,
-                                          std::size_t generation, Rng& rng)>;
+/// Mutation at generation `u`: `genes` holds a copy of the parent's genome
+/// on entry and the child's on return. In place, so the ES can reuse the
+/// genome buffers of dropped individuals. An operator may keep scratch of
+/// its own between calls; the ES calls it from one thread.
+using MutateFn =
+    std::function<void(Allocation& genes, std::size_t generation, Rng& rng)>;
 
-/// Mutation that additionally reports the gene positions it assigned into
-/// `touched` (cleared by the caller; a superset of the actually-changed
-/// positions is fine), which spares the ES the gene diff it otherwise runs
-/// to fill the lineage fields. A tracked mutator MUST consume the same RNG
-/// draws as its plain counterpart so switching tracking on or off never
-/// changes the evolution trajectory.
-using TrackedMutateFn = std::function<Allocation(
-    const Allocation& parent, std::size_t generation, Rng& rng,
-    std::vector<TaskId>& touched)>;
+/// The same operator type under its former name. The ES no longer keeps
+/// mutation lineage, so a "tracked" operator is a plain one; this alias,
+/// set_tracked_mutator and Emts::make_tracked_mutator remain only because
+/// the benchmark harness still names them, and go with its next change
+/// (ROADMAP item 1).
+using TrackedMutateFn = MutateFn;
 
 /// Batch fitness evaluator: the abstraction the ES drives instead of a raw
 /// per-individual callback. An implementation owns whatever it needs to
@@ -195,12 +190,8 @@ class EvolutionStrategy {
   /// FnBatchEvaluator running on config.threads evaluation lanes.
   EvolutionStrategy(EsConfig config, FitnessFn fitness, MutateFn mutate);
 
-  /// Replace the mutation operator with a tracked one that reports the
-  /// gene positions it assigned (see TrackedMutateFn). With a tracked
-  /// mutator the ES fills the offspring's touched lineage from the report
-  /// instead of diffing genes. A setter rather than a constructor
-  /// overload: lambdas convert to both std::function types, which would
-  /// make the constructors ambiguous.
+  /// Replace the mutation operator (see TrackedMutateFn: kept only for
+  /// the benchmark harness).
   void set_tracked_mutator(TrackedMutateFn mutate);
 
   /// Run the ES. `seeds` are starting genomes (may be empty only if
@@ -216,17 +207,10 @@ class EvolutionStrategy {
   void evaluate(std::vector<Individual>& pool, std::size_t begin,
                 EsResult& result);
 
-  /// Mutate `parent`'s genes into `child` (genes + touched only; origin
-  /// and lineage are the call sites' business). Uses the tracked mutator
-  /// when set, else the plain one plus a gene diff against the parent.
-  void reproduce(const Individual& parent, std::size_t generation, Rng& rng,
-                 Individual& child);
-
   EsConfig config_;
   std::unique_ptr<FnBatchEvaluator> owned_evaluator_;  ///< FitnessFn path.
   BatchEvaluator* evaluator_ = nullptr;  ///< Never null after construction.
   MutateFn mutate_;
-  TrackedMutateFn tracked_mutate_;  ///< Optional; preferred when set.
 };
 
 }  // namespace ptgsched

@@ -72,7 +72,8 @@ SearchResult random_search(const std::vector<Individual>& seeds,
     Individual cand;
     // Always mutate the *seed*, not the incumbent: pure random restarts
     // around the start point (generation 0 => maximal step size).
-    cand.genes = mutate(start.genes, 0, rng);
+    cand.genes = start.genes;
+    mutate(cand.genes, 0, rng);
     cand.fitness = fitness(cand.genes, 0);
     cand.origin = "random";
     ++result.evaluations;
@@ -94,11 +95,11 @@ SearchResult hill_climb(const std::vector<Individual>& seeds,
   Individual incumbent = best_seed(seeds, fitness, result);
   while (result.evaluations < config.max_evaluations) {
     Individual cand;
-    cand.genes = mutate(incumbent.genes,
-                        pseudo_generation(result.evaluations,
-                                          config.max_evaluations,
-                                          config.pseudo_generations),
-                        rng);
+    cand.genes = incumbent.genes;
+    mutate(cand.genes,
+           pseudo_generation(result.evaluations, config.max_evaluations,
+                             config.pseudo_generations),
+           rng);
     cand.fitness = fitness(cand.genes, 0);
     cand.origin = "hillclimb";
     ++result.evaluations;
@@ -130,11 +131,11 @@ SearchResult simulated_annealing(const std::vector<Individual>& seeds,
       config.initial_temperature_fraction * incumbent.fitness;
   while (result.evaluations < config.max_evaluations) {
     Individual cand;
-    cand.genes = mutate(incumbent.genes,
-                        pseudo_generation(result.evaluations,
-                                          config.max_evaluations,
-                                          config.pseudo_generations),
-                        rng);
+    cand.genes = incumbent.genes;
+    mutate(cand.genes,
+           pseudo_generation(result.evaluations, config.max_evaluations,
+                             config.pseudo_generations),
+           rng);
     cand.fitness = fitness(cand.genes, 0);
     cand.origin = "annealing";
     ++result.evaluations;

@@ -40,25 +40,19 @@ Emts::Emts(EmtsConfig config) : config_(std::move(config)) {
 
 MutateFn Emts::make_mutator(MutationParams params, double fm,
                             std::size_t generations, int P) {
-  return [params, fm, generations, P](const Allocation& parent,
-                                      std::size_t u, Rng& rng) {
-    Allocation child = parent;
+  // The sampled positions land in a buffer the operator keeps, so a child
+  // costs no allocation after the first.
+  return [params, fm, generations, P,
+          scratch = std::vector<std::size_t>()](
+             Allocation& genes, std::size_t u, Rng& rng) mutable {
     mutate_allocation(params, fm, std::min(u, generations - 1), generations,
-                      P, rng, child, nullptr);
-    return child;
+                      P, rng, genes, scratch);
   };
 }
 
 TrackedMutateFn Emts::make_tracked_mutator(MutationParams params, double fm,
                                            std::size_t generations, int P) {
-  return [params, fm, generations, P](const Allocation& parent,
-                                      std::size_t u, Rng& rng,
-                                      std::vector<TaskId>& touched) {
-    Allocation child = parent;
-    mutate_allocation(params, fm, std::min(u, generations - 1), generations,
-                      P, rng, child, &touched);
-    return child;
-  };
+  return make_mutator(params, fm, generations, P);
 }
 
 EmtsResult Emts::schedule(const Ptg& g, const ExecutionTimeModel& model,
@@ -169,11 +163,6 @@ EmtsResult Emts::schedule(EvaluationEngine& engine) const {
   EvolutionStrategy es(es_cfg, engine,
                        make_mutator(config_.mutation, config_.fm,
                                     config_.generations, num_processors));
-  // The tracked operator reports the genes it assigned, sparing the ES the
-  // per-child gene diff it otherwise runs to fill the lineage fields.
-  // Identical RNG consumption, identical trajectory.
-  es.set_tracked_mutator(make_tracked_mutator(
-      config_.mutation, config_.fm, config_.generations, num_processors));
   result.es = es.run(seeds);
 
   result.eval_stats = stats_delta(engine.stats(), stats_before);

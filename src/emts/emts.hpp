@@ -133,14 +133,15 @@ class Emts {
                                     const Cluster& cluster) const;
 
   /// The mutation operator EMTS plugs into the generic ES; exposed for
-  /// tests and ablations. `U` and `P` are fixed per run.
+  /// tests and ablations. `U` and `P` are fixed per run. The operator keeps
+  /// a sampling buffer between calls, so one copy must not be called from
+  /// two threads at once.
   [[nodiscard]] static MutateFn make_mutator(MutationParams params, double fm,
                                              std::size_t generations, int P);
 
-  /// Tracked twin of make_mutator: same operator, same RNG draw sequence
-  /// (both delegate to mutate_allocation), additionally reporting the
-  /// assigned gene positions (the ES lineage fields). Swapping one for the
-  /// other never changes the evolution trajectory.
+  /// make_mutator under its former name: kept only because the benchmark
+  /// harness names it, and removed with its next change (see
+  /// TrackedMutateFn).
   [[nodiscard]] static TrackedMutateFn make_tracked_mutator(
       MutationParams params, double fm, std::size_t generations, int P);
 

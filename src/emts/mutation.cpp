@@ -77,14 +77,14 @@ std::size_t mutation_count(std::size_t u, std::size_t U, double fm,
 std::size_t mutate_allocation(const MutationParams& params, double fm,
                               std::size_t u, std::size_t U, int P, Rng& rng,
                               Allocation& genes,
-                              std::vector<TaskId>* touched) {
+                              std::vector<std::size_t>& scratch) {
   const std::size_t m = mutation_count(u, U, fm, genes.size());
-  for (const std::size_t pos : rng.sample_indices(genes.size(), m)) {
+  rng.sample_indices_into(genes.size(), m, scratch);
+  for (const std::size_t pos : scratch) {
     const int delta = sample_allocation_delta(params, rng);
     genes[pos] = static_cast<int>(
         std::clamp<long long>(static_cast<long long>(genes[pos]) + delta, 1,
                               P));
-    if (touched != nullptr) touched->push_back(static_cast<TaskId>(pos));
   }
   return m;
 }

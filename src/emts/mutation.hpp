@@ -17,7 +17,9 @@
 //     stretching. (Equation (1) of the paper labels the branches the other
 //     way around; we follow the prose — see DESIGN.md.)
 //
-// Resulting allocations are clamped to [1, P].
+// Resulting allocations are clamped to [1, P]. The operator works on a
+// genome in place (mutate_allocation), so the ES can mutate a child inside
+// a reused buffer without allocating.
 
 #include <cstddef>
 #include <vector>
@@ -54,15 +56,13 @@ struct MutationParams {
 
 /// Apply the full EMTS operator to `genes` in place for generation u of U:
 /// mutation_count(u, U, fm, V) distinct positions, each adjusted by
-/// sample_allocation_delta and clamped to [1, P]. The single shared
-/// implementation behind both Emts mutators, so the tracked and plain
-/// forms consume identical RNG draws by construction. When `touched` is
-/// non-null every assigned position is appended (a superset of the
-/// actually-changed positions: a clamped delta may land on the old value).
-/// Returns the number of positions assigned.
+/// sample_allocation_delta and clamped to [1, P]. The positions are drawn
+/// into `scratch` (Rng::sample_indices_into), so a caller that reuses one
+/// buffer, as the Emts mutator does, mutates without allocating. Returns
+/// the number of positions assigned.
 std::size_t mutate_allocation(const MutationParams& params, double fm,
                               std::size_t u, std::size_t U, int P, Rng& rng,
                               Allocation& genes,
-                              std::vector<TaskId>* touched);
+                              std::vector<std::size_t>& scratch);
 
 }  // namespace ptgsched

@@ -1,7 +1,6 @@
 #include "sched/mapping_kernel.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 
 namespace ptgsched {
@@ -54,13 +53,8 @@ MappingKernel::MappingKernel(const ProblemInstance& instance,
     const auto procs = static_cast<std::size_t>(lanes_[k].num_processors);
     lane_off_[k + 1] = lane_off_[k] + procs;
   }
-  slack_off_.assign(lanes_.size() + 1, 0);
-  for (std::size_t k = 0; k < lanes_.size(); ++k) {
-    slack_off_[k + 1] =
-        slack_off_[k] + kAvailSlackFactor * (lane_off_[k + 1] - lane_off_[k]);
-  }
-  lane_head_.assign(lanes_.size(), 0);
-  sorted_avail_.assign(slack_off_.back(), 0.0);
+  runs_.assign(lane_off_.back(), FreeRun{0.0, 0});
+  run_count_.assign(lanes_.size(), 0);
   proc_avail_.assign(lane_off_.back(), 0.0);
   proc_order_.assign(lane_off_.back(), 0);
   bl_.assign(n_, 0.0);
@@ -76,8 +70,6 @@ MappingKernel::MappingKernel(const ProblemInstance& instance,
 void MappingKernel::occupy_placed(TaskId v, const Placement& p,
                                   ProcessorSelection selection,
                                   Schedule* out) {
-  const double* av =
-      sorted_avail_.data() + slack_off_[p.lane] + lane_head_[p.lane];
   const std::size_t procs = lane_off_[p.lane + 1] - lane_off_[p.lane];
   const std::size_t s = p.size;
   double* pv = proc_avail_.data() + lane_off_[p.lane];
@@ -88,10 +80,12 @@ void MappingKernel::occupy_placed(TaskId v, const Placement& p,
   std::size_t first = 0;
   if (selection == ProcessorSelection::BestFit) {
     // Last s processors whose availability is still <= start: keeps the
-    // earliest-free processors open for later ready tasks. The mirror
-    // holds the same free times sorted, so its rank of the start time is
-    // the number of such processors.
-    first = sorted_rank(av, procs, p.start) - s;
+    // earliest-free processors open for later ready tasks. The run list
+    // holds the same free times, so its rank of the start time is the
+    // number of such processors.
+    first = rank_leq(runs_.data() + lane_off_[p.lane], run_count_[p.lane],
+                     p.start) -
+            s;
   }
 
   PlacedTask placed;
@@ -127,9 +121,9 @@ void MappingKernel::occupy_placed(TaskId v, const Placement& p,
   for (int& proc : placed.processors) proc += base;
   out->add(std::move(placed));
 
-  // The query mirror loses the s chosen free times (the run av[first ..
-  // first + s)) and gains s copies of the finish: exactly the value-path
-  // update, so earliest_start stays an O(1) read here too.
+  // The run list loses the s chosen free times (the entries of rank
+  // [first, first + s)) and gains s copies of the finish: exactly the
+  // value-path update.
   occupy_value(p, selection);
 }
 

@@ -20,25 +20,29 @@
 //     beyond — selected once at construction);
 //   * a 4-ary max-heap for the ready queue (keys inline, half the tree
 //     depth of the std::push_heap binary heap it replaces);
-//   * per-lane processor availability kept as a *sorted* array of free
-//     times, making earliest_start an O(1) read and occupy a single
-//     rank search + memmove. On the value path only the multiset of free
-//     times matters, so this is bit-identical to the old O(P)
-//     nth_element selection (see the ReferenceMapper test oracle).
+//   * per-lane processor availability kept as a run-length list: the
+//     lane's free times as strictly ascending (time, count) runs. A lane
+//     has one run per distinct free time (the finish times that are still
+//     some processor's last, usually far fewer than P), and an occupy
+//     writes one run however many processors the task takes. On
+//     the value path only the multiset of free times matters, so this is
+//     bit-identical to the old O(P) nth_element selection (see the
+//     ReferenceMapper test oracle).
 //
 // Two execution paths with bit-identical makespans:
-//   * value path (no Schedule requested): availability is the sorted
-//     multiset above — the fitness fast path. Each lane's sorted free
-//     times live in a sliding window inside a slack region
-//     (kAvailSlackFactor x P), so occupy_value's remove-front /
-//     insert-mid update moves the cheaper side only, and the insertion
-//     rank comes from a branchless binary search. BestFit's rank of the
-//     start time is a branch-free counting scan that auto-vectorizes
-//     (binary search on lanes wider than kLinearScanMaxProcs);
+//   * value path (no Schedule requested): availability is the run list
+//     above — the fitness fast path. earliest_start walks the runs until
+//     the running count reaches the task's size; occupy_value takes the
+//     task's s entries out of the runs (the front runs for
+//     EarliestAvailable, the runs just below the start for BestFit) and
+//     inserts one (finish, s) run, found by scanning from the back, or
+//     adds s to a run of equal time;
 //   * placement path (Schedule requested): processors are chosen by the
 //     deterministic (available time, index) order, exactly as published.
 //     Each lane keeps that order across the pass, so placing a task moves
-//     only its s processors (occupy_placed).
+//     only its s processors (occupy_placed). The run list is its query
+//     structure: BestFit's rank of the start and the start time itself
+//     come from it, and occupy_value updates it.
 //
 // Rejection (the paper's Section VI): a bounded pass aborts as soon as
 // some task's start plus its bottom level exceeds the bound, since the
@@ -61,7 +65,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <span>
 #include <variant>
@@ -87,6 +90,12 @@ struct MappingLane {
 
 class MappingKernel {
  public:
+  /// `count` processors of a lane that become free at `time`.
+  struct FreeRun {
+    double time;
+    std::size_t count;
+  };
+
   /// Where a ready task runs, as decided by the placement policy.
   struct Placement {
     std::size_t lane = 0;
@@ -102,14 +111,16 @@ class MappingKernel {
                 std::vector<MappingLane> lanes);
 
   /// Earliest moment `size` processors of `lane` are simultaneously free,
-  /// given the task's data-ready time. Pure O(1) query on the sorted
-  /// availability (the size-th earliest free time), so a policy may probe
-  /// every lane before the kernel commits one.
+  /// given the task's data-ready time: the time of the run where the
+  /// running count of free processors reaches `size` (the size-th earliest
+  /// free time). A pure query, so a policy may probe every lane before the
+  /// kernel commits one.
   [[nodiscard]] double earliest_start(std::size_t lane, std::size_t size,
                                       double data_ready) const noexcept {
-    const double* av =
-        sorted_avail_.data() + slack_off_[lane] + lane_head_[lane];
-    return std::max(data_ready, av[size - 1]);
+    const FreeRun* r = runs_.data() + lane_off_[lane];
+    for (std::size_t c = r->count; c < size; c += (++r)->count) {
+    }
+    return std::max(data_ready, r->time);
   }
 
   /// Run one list-mapping pass. `priority_times` are the per-task times
@@ -156,6 +167,13 @@ class MappingKernel {
   }
   /// True when a communication context is installed (the kComm paths run).
   [[nodiscard]] bool comm_active() const noexcept { return comm_ != nullptr; }
+
+  /// Lane k's free times as runs: strictly ascending times, positive
+  /// counts summing to the lane's P. Read-only view for tests, valid until
+  /// the next occupy (a place functor sees the state before its task).
+  [[nodiscard]] std::span<const FreeRun> free_runs(std::size_t k) const {
+    return {runs_.data() + lane_off_[k], run_count_[k]};
+  }
 
   [[nodiscard]] std::size_t num_lanes() const noexcept {
     return lanes_.size();
@@ -229,10 +247,10 @@ class MappingKernel {
 
   template <typename Idx>
   void reset_dynamic_state(State<Idx>& st, bool placement) {
+    // Every processor is free at 0: one run per lane.
     for (std::size_t k = 0; k < lanes_.size(); ++k) {
-      lane_head_[k] = 0;
-      double* av = sorted_avail_.data() + slack_off_[k];
-      std::fill(av, av + (lane_off_[k + 1] - lane_off_[k]), 0.0);
+      runs_[lane_off_[k]] = {0.0, lane_off_[k + 1] - lane_off_[k]};
+      run_count_[k] = 1;
     }
     if (placement) {
       std::fill(proc_avail_.begin(), proc_avail_.end(), 0.0);
@@ -288,7 +306,7 @@ class MappingKernel {
           arrive += comm_[p.lane * comm_stride_ +
                           static_cast<std::size_t>(task_lane_[w])];
         }
-        if (arrive > data_ready_[w]) data_ready_[w] = arrive;
+        data_ready_[w] = std::max(data_ready_[w], arrive);
         if (--st.waiting[w] == 0) {
           st.ready.push({bl_[w], static_cast<Idx>(w)});
         }
@@ -300,93 +318,79 @@ class MappingKernel {
     return makespan;
   }
 
-  /// Lanes wider than this use binary search in occupy_value; at cluster
-  /// scale (P <= a few hundred) the branch-free counting scan wins.
-  static constexpr std::size_t kLinearScanMaxProcs = 512;
-
-  /// Number of entries of the ascending-sorted a[0 .. count) that are
-  /// <= x — exactly `upper_bound(a, a + count, x) - a`, as a branch-free
-  /// counting scan over the lane's processor-contiguous free times (the
-  /// plain loop auto-vectorizes). Exact by sortedness: every element <= x
-  /// precedes every element > x, so the count IS the partition point.
-  static std::size_t count_leq(const double* a, std::size_t count,
-                               double x) noexcept {
+  /// Number of the lane's free times that are <= x: the running count
+  /// over the runs whose time is <= x.
+  static std::size_t rank_leq(const FreeRun* r, std::size_t runs,
+                              double x) noexcept {
     std::size_t c = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      c += static_cast<std::size_t>(a[i] <= x);
-    }
+    for (std::size_t i = 0; i < runs && r[i].time <= x; ++i) c += r[i].count;
     return c;
   }
 
-  static std::size_t sorted_rank(const double* a, std::size_t count,
-                                 double x) noexcept {
-    if (count <= kLinearScanMaxProcs) return count_leq(a, count, x);
-    return static_cast<std::size_t>(std::upper_bound(a, a + count, x) - a);
-  }
-
   /// Value-path occupy: only the multiset of free times matters, and the
-  /// lane keeps it sorted ascending, so occupying is: drop the s chosen
-  /// times and write s copies of p.finish at its sorted position.
-  /// Multiset-identical to the reference nth_element update.
-  /// EarliestAvailable drops av[0 .. s); BestFit drops the last s of the
-  /// entries already free at p.start (at least s of them, by construction
-  /// of the start time).
-  ///
-  /// Each lane is a sliding window inside a slack region of
-  /// kAvailSlackFactor x P doubles: EarliestAvailable removes from the
-  /// FRONT while finish times mostly insert near the BACK, so shifting
-  /// whichever side of the insertion point is shorter (advancing the
-  /// window head when the back side wins) turns the old
-  /// shift-almost-the-whole-lane memmove into a few-element move. The
-  /// insertion rank is found by a branchless binary search: finish times
-  /// land mid-lane often enough (measured mean rank ~P/3 from the back on
-  /// batches of single-gene mutants) that both the backward linear probe and the
-  /// branch-free forward count walk an order of magnitude more entries
-  /// than the log2(P) halvings do.
+  /// lane keeps it as ascending (time, count) runs, so occupying is: take
+  /// s entries out of the runs and add s entries of p.finish. Multiset-
+  /// identical to the reference nth_element update.
+  /// EarliestAvailable takes the s smallest entries, from the front runs;
+  /// BestFit takes the s largest entries that are <= p.start, from the
+  /// runs just below the first run later than p.start (at least s such
+  /// entries exist, by construction of the start time). Every taken entry
+  /// is <= p.start <= p.finish, so the new (p.finish, s) run lands above
+  /// all runs that were emptied; it merges into a run of equal time if one
+  /// survives, so the run times stay strictly ascending.
   void occupy_value(const Placement& p, ProcessorSelection selection) {
-    const std::size_t procs = lane_off_[p.lane + 1] - lane_off_[p.lane];
-    const std::size_t cap = slack_off_[p.lane + 1] - slack_off_[p.lane];
-    std::size_t& head = lane_head_[p.lane];
-    double* av = sorted_avail_.data() + slack_off_[p.lane] + head;
-    const std::size_t s = p.size;
-    std::size_t hole = 0;  // First index of the s entries being replaced.
+    FreeRun* r = runs_.data() + lane_off_[p.lane];
+    std::size_t& n = run_count_[p.lane];
+    // Runs [gone, kept) are emptied by the take.
+    std::size_t gone = 0;
+    std::size_t kept = 0;
+    std::size_t left = p.size;
     if (selection == ProcessorSelection::BestFit) {
-      hole = sorted_rank(av, procs, p.start) - s;
-    }
-    // New resting place of the s finish times among the survivors:
-    // everything in [pos, procs) is > p.finish, av[pos - 1] <= p.finish —
-    // exactly tail + count_leq(av + tail, procs - tail, p.finish), found
-    // by a branchless (cmov-friendly) upper-bound search.
-    const std::size_t tail = hole + s;
-    std::size_t pos = procs;
-    if (std::size_t rem = procs - tail; rem > 0) {
-      const double* lo = av + tail;
-      while (rem > 1) {
-        const std::size_t half = rem >> 1;
-        lo += (lo[half - 1] <= p.finish) ? half : 0;
-        rem -= half;
+      while (kept < n && r[kept].time <= p.start) ++kept;
+      gone = kept;
+      while (left > 0 && r[gone - 1].count <= left) {
+        left -= r[gone - 1].count;
+        --gone;
       }
-      pos = static_cast<std::size_t>(lo - av) +
-            static_cast<std::size_t>(*lo <= p.finish);
-    }
-    if (hole == 0 && procs - pos < pos - tail) {
-      // Back side is shorter: keep the survivors below the insertion
-      // point in place and slide the tail up, advancing the window over
-      // the s freed slots at the front.
-      if (head + procs + s > cap) {
-        double* base = sorted_avail_.data() + slack_off_[p.lane];
-        std::memmove(base, av, procs * sizeof(double));
-        head = 0;
-        av = base;
-      }
-      std::memmove(av + pos + s, av + pos, (procs - pos) * sizeof(double));
-      for (std::size_t i = pos; i < pos + s; ++i) av[i] = p.finish;
-      head += s;
+      if (left > 0) r[gone - 1].count -= left;
     } else {
-      if (pos > tail) {
-        std::memmove(av + hole, av + tail, (pos - tail) * sizeof(double));
+      while (left > 0 && r[kept].count <= left) {
+        left -= r[kept].count;
+        ++kept;
       }
-      for (std::size_t i = pos - s; i < pos; ++i) av[i] = p.finish;
+      if (left > 0) r[kept].count -= left;
+    }
+
+    // Insertion point among the runs above the emptied ones, scanning from
+    // the back, where finish times mostly land.
+    std::size_t j = n;
+    while (j > kept && r[j - 1].time > p.finish) --j;
+    FreeRun* below = nullptr;  // The surviving run just below the insertion.
+    if (j > kept) {
+      below = r + j - 1;
+    } else if (gone > 0) {
+      below = r + gone - 1;
+    }
+    const std::size_t emptied = kept - gone;
+    if (below != nullptr && below->time == p.finish) {
+      below->count += p.size;
+      if (emptied > 0) {
+        std::move(r + kept, r + n, r + gone);
+        n -= emptied;
+      }
+      return;
+    }
+    if (emptied == 0) {
+      std::move_backward(r + j, r + n, r + n + 1);
+      r[j] = {p.finish, p.size};
+      ++n;
+      return;
+    }
+    std::move(r + kept, r + j, r + gone);
+    r[j - emptied] = {p.finish, p.size};
+    if (emptied > 1) {
+      std::move(r + j, r + n, r + j - emptied + 1);
+      n -= emptied - 1;
     }
   }
 
@@ -403,10 +407,10 @@ class MappingKernel {
   /// processor indices ordered by (free time, index) across the pass
   /// (proc_order_), so a placement reads its s processors off that order
   /// — the first s (EarliestAvailable) or the last s free at p.start
-  /// (BestFit, counted by sorted_rank on the mirror) — and merges just
-  /// that run back at its (finish, index) position. The sorted mirror
+  /// (BestFit, counted by rank_leq on the run list) — and merges just
+  /// that run back at its (finish, index) position. The run list
   /// earliest_start reads is then updated by occupy_value, which yields
-  /// the same sorted multiset as copying and sorting the free times.
+  /// the same multiset as copying and sorting the free times.
   void occupy_placed(TaskId v, const Placement& p,
                      ProcessorSelection selection, Schedule* out);
 
@@ -414,21 +418,13 @@ class MappingKernel {
   std::size_t n_ = 0;
   const std::uint32_t* succ_off_ = nullptr;  ///< Instance CSR offsets.
 
-  /// Slack multiplier for the sliding availability windows: each lane owns
-  /// kAvailSlackFactor x P doubles so occupy_value can advance the window
-  /// head many pops before a rebase memmove.
-  static constexpr std::size_t kAvailSlackFactor = 4;
-
   std::vector<std::size_t> lane_off_;  ///< Lane k: [lane_off_[k], [k+1]).
-  /// Lane k's slack region: sorted_avail_[slack_off_[k], slack_off_[k+1]).
-  std::vector<std::size_t> slack_off_;
-  /// Offset of lane k's live window inside its slack region; the window
-  /// holds the lane's P free times in ascending order.
-  std::vector<std::size_t> lane_head_;
-  /// Per lane: the free times of its processors in ascending order (value
-  /// path; also the placement path's query mirror), as sliding windows —
-  /// see occupy_value.
-  std::vector<double> sorted_avail_;
+  /// Per lane, at lane_off_ (capacity P, since every run counts at least
+  /// one processor): the lane's free times as strictly ascending runs
+  /// (value path; also the placement path's query list). Lane k uses the
+  /// first run_count_[k] entries.
+  std::vector<FreeRun> runs_;
+  std::vector<std::size_t> run_count_;
   std::vector<double> proc_avail_;  ///< Per processor (placement path).
   /// Per lane, at lane_off_: the lane's processor indices ordered by
   /// (proc_avail_, index) — placement-path scratch, reset per pass.

@@ -59,16 +59,22 @@ bool Rng::bernoulli(double p) {
 }
 
 std::vector<std::size_t> Rng::sample_indices(std::size_t n, std::size_t k) {
+  std::vector<std::size_t> out;
+  sample_indices_into(n, k, out);
+  return out;
+}
+
+void Rng::sample_indices_into(std::size_t n, std::size_t k,
+                              std::vector<std::size_t>& out) {
   if (k > n) throw std::invalid_argument("Rng::sample_indices: k > n");
   // Partial Fisher-Yates: O(n) setup, O(k) swaps.
-  std::vector<std::size_t> pool(n);
-  std::iota(pool.begin(), pool.end(), std::size_t{0});
+  out.resize(n);
+  std::iota(out.begin(), out.end(), std::size_t{0});
   for (std::size_t i = 0; i < k; ++i) {
     const std::size_t j = i + index(n - i);
-    std::swap(pool[i], pool[j]);
+    std::swap(out[i], out[j]);
   }
-  pool.resize(k);
-  return pool;
+  out.resize(k);
 }
 
 }  // namespace ptgsched

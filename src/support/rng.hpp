@@ -76,6 +76,12 @@ class Rng {
   [[nodiscard]] std::vector<std::size_t> sample_indices(std::size_t n,
                                                         std::size_t k);
 
+  /// sample_indices into a caller buffer: `out` holds the k indices on
+  /// return, drawn with the same RNG calls. A buffer reused across calls
+  /// keeps its capacity, so repeated samples do not allocate.
+  void sample_indices_into(std::size_t n, std::size_t k,
+                           std::vector<std::size_t>& out);
+
   /// Fisher-Yates shuffle of a vector in place.
   template <typename T>
   void shuffle(std::vector<T>& items) {

@@ -22,12 +22,10 @@ FitnessFn sphere(Allocation target) {
 }
 
 MutateFn stepper(int max_gene) {
-  return [max_gene](const Allocation& parent, std::size_t, Rng& rng) {
-    Allocation child = parent;
+  return [max_gene](Allocation& child, std::size_t, Rng& rng) {
     const std::size_t pos = rng.index(child.size());
     child[pos] = static_cast<int>(std::clamp<std::int64_t>(
         child[pos] + rng.uniform_int(-2, 2), 1, max_gene));
-    return child;
   };
 }
 

@@ -33,7 +33,7 @@ Allocation random_allocation(std::size_t n, int P, Rng& rng) {
 }
 
 /// `begin` random parents with exact fitness, followed by `lambda`
-/// mutants carrying parent/touched lineage. Random parents are poor, so
+/// mutants of random parents. Random parents are poor, so
 /// good children keep lowering the running bound below the worst parent.
 std::vector<Individual> make_pool(const ProblemInstance& pi,
                                   std::size_t begin, std::size_t lambda,
@@ -48,13 +48,11 @@ std::vector<Individual> make_pool(const ProblemInstance& pi,
   }
   for (std::size_t i = begin; i < pool.size(); ++i) {
     Individual& child = pool[i];
-    child.parent = rng.index(begin);
-    child.genes = pool[child.parent].genes;
+    child.genes = pool[rng.index(begin)].genes;
     const std::size_t genes = 1 + rng.index(n / 2);
     for (std::size_t k = 0; k < genes; ++k) {
       const auto v = static_cast<TaskId>(rng.index(n));
       child.genes[v] = static_cast<int>(rng.uniform_int(1, P));
-      child.touched.push_back(v);
     }
   }
   return pool;

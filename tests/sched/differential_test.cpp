@@ -1,8 +1,16 @@
 // Generative differential tests: on thousands of seeded generated
 // instances, the incremental CPA-family heuristics must return exactly the
 // allocations of the from-scratch reference loops (reference_cpa), and the
-// kernel's placement path must emit exactly the ReferenceMapper's
-// schedules, valid under validate_schedule, for both selection policies.
+// kernel must agree with the ReferenceMapper for both selection policies:
+// its placement path emits exactly the oracle's schedules, valid under
+// validate_schedule; its value path returns the oracle's makespan; and its
+// bounded path, at 0.8, 1.0 and 1.2 times that makespan, returns the
+// oracle's value and rejection count. The allocations are the CPA and MCPA
+// results, one uniform random allocation, and a chain of EMTS-operator
+// mutants — the varied allocations an EMTS run evaluates. On homogeneous
+// instances a direct kernel pass also checks, before every placement, that
+// each lane's free-time runs are canonical (strictly ascending times,
+// positive counts summing to P).
 //
 // The instance space: the four corpus classes (FFT, Strassen, layered and
 // irregular DAGGEN PTGs of 10-300 tasks) on the chti and grelon presets and
@@ -16,6 +24,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,20 +34,80 @@
 #include "../common/test_graphs.hpp"
 #include "core/problem_instance.hpp"
 #include "daggen/corpus.hpp"
+#include "emts/emts.hpp"
 #include "heuristics/bicpa.hpp"
 #include "heuristics/cpa.hpp"
 #include "model/execution_time.hpp"
 #include "platform/cluster.hpp"
 #include "sched/list_scheduler.hpp"
+#include "sched/mapping_kernel.hpp"
 #include "sched/validate.hpp"
 #include "support/rng.hpp"
 
 namespace ptgsched {
 namespace {
 
-/// Heuristic allocations against the oracle, then placement passes of the
-/// kernel against the ReferenceMapper on those allocations and on one
-/// random allocation.
+/// EMTS-operator mutants in a chain, each from the one before: what the
+/// ES evaluates, generation by generation.
+constexpr std::size_t kMutantChain = 8;
+
+/// Value and bounded passes of the kernel against the oracle on `alloc`;
+/// `ref` receives the oracle's makespan.
+void expect_values_match(ListScheduler& sched, ReferenceMapper& oracle,
+                         const Allocation& alloc, const std::string& where,
+                         double& ref) {
+  ref = oracle.makespan(alloc);
+  ASSERT_EQ(sched.makespan(alloc), ref) << where;
+  for (const double factor : {0.8, 1.0, 1.2}) {
+    sched.reset_stats();
+    oracle.reset_stats();
+    const double bound = factor * ref;
+    ASSERT_EQ(sched.makespan_bounded(alloc, bound),
+              oracle.makespan_bounded(alloc, bound))
+        << where << ", bound " << factor << " x makespan";
+    ASSERT_EQ(sched.rejected_count(), oracle.rejected_count())
+        << where << ", bound " << factor << " x makespan";
+  }
+}
+
+/// A value pass driven on the kernel directly (homogeneous instances: one
+/// lane, gene = width), checking before every placement that the lane's
+/// runs are canonical. Returns the makespan.
+double canonical_runs_pass(const ProblemInstance& pi, const Allocation& alloc,
+                           ProcessorSelection policy,
+                           const std::string& where) {
+  const int P = pi.num_processors();
+  std::vector<double> times(pi.num_tasks());
+  for (TaskId v = 0; v < pi.num_tasks(); ++v) {
+    times[v] = pi.time_table()[v * static_cast<std::size_t>(P) +
+                               static_cast<std::size_t>(alloc[v] - 1)];
+  }
+  MappingKernel kernel(pi, {MappingLane{P, 0}});
+  return kernel.run(
+      times, policy, std::numeric_limits<double>::infinity(), nullptr,
+      [&](TaskId v, double data_ready) {
+        const auto runs = kernel.free_runs(0);
+        std::size_t total = 0;
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+          EXPECT_GT(runs[i].count, 0u) << where << ", task " << v;
+          if (i > 0) {
+            EXPECT_LT(runs[i - 1].time, runs[i].time)
+                << where << ", task " << v;
+          }
+          total += runs[i].count;
+        }
+        EXPECT_EQ(total, static_cast<std::size_t>(P)) << where;
+        MappingKernel::Placement p;
+        p.size = static_cast<std::size_t>(alloc[v]);
+        p.start = kernel.earliest_start(0, p.size, data_ready);
+        p.finish = p.start + times[v];
+        return p;
+      });
+}
+
+/// Heuristic allocations against the oracle, then value, bounded and
+/// placement passes of the kernel against the ReferenceMapper on those
+/// allocations, on one random allocation and on a chain of EMTS mutants.
 void expect_matches_oracles(const ProblemInstance& pi, Rng& rng) {
   const std::string where = pi.graph().name() + " on " + pi.cluster().name() +
                             " (" + std::to_string(pi.num_tasks()) + " tasks)";
@@ -55,9 +124,16 @@ void expect_matches_oracles(const ProblemInstance& pi, Rng& rng) {
             reference_bicpa(pi, stride))
       << where;
 
-  Allocation random(pi.num_tasks());
-  for (auto& s : random) {
+  std::vector<Allocation> allocs = {cpa, mcpa, Allocation(pi.num_tasks())};
+  for (auto& s : allocs.back()) {
     s = static_cast<int>(rng.uniform_int(1, pi.num_processors()));
+  }
+  const MutateFn mutate = Emts::make_mutator(MutationParams{}, 0.33, 10,
+                                             pi.num_processors());
+  Allocation chain = mcpa;
+  for (std::size_t u = 0; u < kMutantChain; ++u) {
+    mutate(chain, u, rng);
+    allocs.push_back(chain);
   }
   for (const ProcessorSelection policy :
        {ProcessorSelection::EarliestAvailable, ProcessorSelection::BestFit}) {
@@ -65,10 +141,21 @@ void expect_matches_oracles(const ProblemInstance& pi, Rng& rng) {
     opts.selection = policy;
     ListScheduler sched(pi.shared_from_this(), opts);
     ReferenceMapper oracle(pi.shared_from_this(), opts);
-    for (const Allocation* alloc :
-         std::array<const Allocation*, 3>{&cpa, &mcpa, &random}) {
-      const Schedule got = sched.build_schedule(*alloc);
-      const Schedule ref = oracle.build_schedule(*alloc);
+    for (std::size_t k = 0; k < allocs.size(); ++k) {
+      const Allocation& alloc = allocs[k];
+      double value = 0.0;
+      expect_values_match(sched, oracle, alloc, where, value);
+      if (::testing::Test::HasFailure()) return;
+      if (!pi.heterogeneous()) {
+        ASSERT_EQ(canonical_runs_pass(pi, alloc, policy, where), value)
+            << where;
+        if (::testing::Test::HasFailure()) return;
+      }
+      // Placements: the three base allocations and the chain's last
+      // mutant (the value checks above cover the whole chain).
+      if (k >= 3 && k + 1 < allocs.size()) continue;
+      const Schedule got = sched.build_schedule(alloc);
+      const Schedule ref = oracle.build_schedule(alloc);
       ASSERT_EQ(got.makespan(), ref.makespan()) << where;
       for (TaskId v = 0; v < pi.num_tasks(); ++v) {
         ASSERT_EQ(got.placement(v).start, ref.placement(v).start) << where;
@@ -76,7 +163,7 @@ void expect_matches_oracles(const ProblemInstance& pi, Rng& rng) {
         ASSERT_EQ(got.placement(v).processors, ref.placement(v).processors)
             << where << ", task " << v;
       }
-      validate_schedule(got, pi.graph(), *alloc, pi.model(), pi.cluster());
+      validate_schedule(got, pi.graph(), alloc, pi.model(), pi.cluster());
     }
   }
 }

@@ -236,8 +236,8 @@ TEST(MappingKernel, WideIndexGraphMatchesTheOracle) {
 }
 
 TEST(MappingKernel, WideLaneMatchesTheOracle) {
-  // More than 512 processors in one lane: BestFit ranks the start time by
-  // binary search instead of the counting scan.
+  // A 600-processor lane: run counts far above a cluster's usual widths,
+  // and many runs per lane when narrow tasks overlap.
   Rng rng(1303);
   const Ptg g = layered_ptg(12, 25, rng);
   expect_oracle_agreement(g, unit_cluster(600),

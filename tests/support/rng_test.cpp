@@ -157,6 +157,25 @@ TEST(Rng, SampleIndicesFullSet) {
 TEST(Rng, SampleIndicesRejectsOversample) {
   Rng rng(16);
   EXPECT_THROW((void)rng.sample_indices(3, 4), std::invalid_argument);
+  std::vector<std::size_t> out;
+  EXPECT_THROW(rng.sample_indices_into(3, 4, out), std::invalid_argument);
+}
+
+TEST(Rng, SampleIndicesIntoMatchesSampleIndices) {
+  // One reused buffer, varying sizes (it grows and shrinks): the same
+  // indices and the same generator state after every call.
+  Rng a(18);
+  Rng b(18);
+  std::vector<std::size_t> buffer;
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto n = static_cast<std::size_t>(a.uniform_int(0, 120));
+    ASSERT_EQ(static_cast<std::size_t>(b.uniform_int(0, 120)), n);
+    const std::size_t k = n / (1 + static_cast<std::size_t>(trial % 4));
+    const auto want = a.sample_indices(n, k);
+    b.sample_indices_into(n, k, buffer);
+    ASSERT_EQ(buffer, want);
+    ASSERT_EQ(a.engine(), b.engine());
+  }
 }
 
 TEST(Rng, SampleIndicesUnbiased) {
